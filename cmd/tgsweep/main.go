@@ -233,7 +233,10 @@ func main() {
 			os.Exit(1)
 		}
 		fail(err)
-		if status.Resumed > 0 {
+		if *resume {
+			// Always report, 0 included: a crash before the first point
+			// completed leaves nothing to recover, and saying so is the
+			// confirmation that the journal was read.
 			fmt.Fprintf(os.Stderr, "tgsweep: resumed %d completed points from %s, ran %d\n",
 				status.Resumed, *journalF, status.Ran)
 		}

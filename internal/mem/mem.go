@@ -13,9 +13,16 @@ import (
 // RAM is a word-addressed memory slave with a configurable access time.
 // Private memories and the shared memory differ only in the address range
 // the platform maps them at and in cacheability.
+//
+// Storage is paged and a page is allocated on its first non-zero write, so
+// a platform's footprint follows the words its masters touch, not its
+// address map: a private RAM spans 128 KiB, of which a program touches a
+// few pages.
 type RAM struct {
 	base  uint32
-	words []uint32
+	words int // size in words
+	// pages holds pageWords words each; a nil page reads as zeros.
+	pages [][]uint32
 	// waitStates is the intrinsic per-access service time in cycles
 	// (the paper's "slave access time"). Bursts pay it once per beat.
 	waitStates uint64
@@ -28,7 +35,31 @@ func NewRAM(name string, base, size uint32, waitStates uint64) *RAM {
 	if base%4 != 0 || size%4 != 0 || size == 0 {
 		panic(fmt.Sprintf("mem: RAM %s base/size must be word aligned and non-zero", name))
 	}
-	return &RAM{base: base, words: make([]uint32, size/4), waitStates: waitStates, name: name}
+	words := int(size / 4)
+	pages := make([][]uint32, (words+pageWords-1)/pageWords)
+	return &RAM{base: base, words: words, pages: pages, waitStates: waitStates, name: name}
+}
+
+// pageWords is the RAM page size in words (4 KiB).
+const pageWords = 1024
+
+func (r *RAM) word(idx int) uint32 {
+	if p := r.pages[idx/pageWords]; p != nil {
+		return p[idx%pageWords]
+	}
+	return 0
+}
+
+func (r *RAM) setWord(idx int, v uint32) {
+	p := r.pages[idx/pageWords]
+	if p == nil {
+		if v == 0 {
+			return
+		}
+		p = make([]uint32, pageWords)
+		r.pages[idx/pageWords] = p
+	}
+	p[idx%pageWords] = v
 }
 
 // Name returns the memory's diagnostic name.
@@ -36,7 +67,7 @@ func (r *RAM) Name() string { return r.name }
 
 // Range returns the address range the RAM occupies.
 func (r *RAM) Range() ocp.AddrRange {
-	return ocp.AddrRange{Base: r.base, Size: uint32(len(r.words) * 4)}
+	return ocp.AddrRange{Base: r.base, Size: uint32(r.words * 4)}
 }
 
 // AccessCycles implements ocp.Slave.
@@ -54,14 +85,19 @@ func (r *RAM) Perform(req *ocp.Request) ocp.Response {
 // port across transactions.
 func (r *RAM) PerformInto(req *ocp.Request, dst []uint32) ocp.Response {
 	idx, ok := r.index(req.Addr)
-	if !ok || idx+req.Burst > len(r.words) {
+	if !ok || idx+req.Burst > r.words {
 		return ocp.Response{Err: true}
 	}
 	switch {
 	case req.Cmd.IsRead():
-		return ocp.Response{Data: append(dst, r.words[idx:idx+req.Burst]...)}
+		for i := idx; i < idx+req.Burst; i++ {
+			dst = append(dst, r.word(i))
+		}
+		return ocp.Response{Data: dst}
 	case req.Cmd.IsWrite():
-		copy(r.words[idx:idx+req.Burst], req.Data)
+		for i, v := range req.Data[:min(len(req.Data), req.Burst)] {
+			r.setWord(idx+i, v)
+		}
 		return ocp.Response{}
 	}
 	return ocp.Response{Err: true}
@@ -85,7 +121,7 @@ func (r *RAM) PeekWord(addr uint32) uint32 {
 	if !ok {
 		panic(fmt.Sprintf("mem: PeekWord %#08x outside %s %v", addr, r.name, r.Range()))
 	}
-	return r.words[idx]
+	return r.word(idx)
 }
 
 // PokeWord writes a word directly, bypassing timing.
@@ -94,23 +130,23 @@ func (r *RAM) PokeWord(addr uint32, v uint32) {
 	if !ok {
 		panic(fmt.Sprintf("mem: PokeWord %#08x outside %s %v", addr, r.name, r.Range()))
 	}
-	r.words[idx] = v
+	r.setWord(idx, v)
 }
 
 // LoadWords copies words into memory starting at addr (loader path).
 func (r *RAM) LoadWords(addr uint32, words []uint32) {
 	idx, ok := r.index(addr)
-	if !ok || idx+len(words) > len(r.words) {
+	if !ok || idx+len(words) > r.words {
 		panic(fmt.Sprintf("mem: LoadWords %#08x+%d outside %s %v", addr, len(words), r.name, r.Range()))
 	}
-	copy(r.words[idx:], words)
+	for i, v := range words {
+		r.setWord(idx+i, v)
+	}
 }
 
 // Clear zeroes the whole memory.
 func (r *RAM) Clear() {
-	for i := range r.words {
-		r.words[i] = 0
-	}
+	clear(r.pages)
 }
 
 func (r *RAM) index(addr uint32) (int, bool) {
@@ -118,7 +154,7 @@ func (r *RAM) index(addr uint32) (int, bool) {
 		return 0, false
 	}
 	idx := int((addr - r.base) / 4)
-	if idx >= len(r.words) {
+	if idx >= r.words {
 		return 0, false
 	}
 	return idx, true

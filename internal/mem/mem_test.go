@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -103,6 +104,51 @@ func TestRAMRandomAccessProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRAMPagedBursts: bursts that straddle page boundaries, reads of pages
+// never written, zero writes to untouched pages and Clear must all behave
+// exactly like one flat word array — the model the RAM kept before paging.
+func TestRAMPagedBursts(t *testing.T) {
+	const words = 2*pageWords + 16
+	r := NewRAM("p", 0x4000, words*4, 0)
+	flat := make([]uint32, words)
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 2000; i++ {
+		burst := 1 + rng.Intn(8)
+		idx := rng.Intn(words - burst + 1)
+		req := ocp.Request{Cmd: ocp.BurstRead, Addr: 0x4000 + uint32(idx)*4, Burst: burst}
+		if rng.Intn(2) == 0 {
+			req.Cmd = ocp.BurstWrite
+			req.Data = make([]uint32, burst)
+			for k := range req.Data {
+				if rng.Intn(3) > 0 { // leave some zeros, which must not allocate
+					req.Data[k] = rng.Uint32()
+				}
+			}
+			copy(flat[idx:], req.Data)
+		}
+		resp := r.Perform(&req)
+		if resp.Err {
+			t.Fatalf("access %d: %+v failed", i, req)
+		}
+		if req.Cmd.IsRead() {
+			for k, v := range resp.Data {
+				if v != flat[idx+k] {
+					t.Fatalf("access %d: word %d = %#x, want %#x", i, idx+k, v, flat[idx+k])
+				}
+			}
+		}
+	}
+	r.Clear()
+	if resp := r.Perform(&ocp.Request{Cmd: ocp.BurstRead, Addr: 0x4000 + (pageWords-2)*4, Burst: 4}); resp.Err ||
+		resp.Data[0]|resp.Data[1]|resp.Data[2]|resp.Data[3] != 0 {
+		t.Fatalf("read across a page boundary after Clear = %v, want zeros", resp.Data)
+	}
+	r.PokeWord(0x4000+pageWords*4, 0)
+	if r.pages[1] != nil {
+		t.Fatal("a zero write allocated a page")
 	}
 }
 

@@ -101,6 +101,9 @@ func (n *Network) domainIndex(st *shardState) int {
 //
 //   - flit conservation: each domain's residentFlits equals its routers'
 //     total FIFO occupancy;
+//   - router bookkeeping: each router's flit count equals its FIFO
+//     occupancy, and its switch-request masks equal the masks recomputed
+//     from the head flits at its FIFO fronts;
 //   - link counters: each cut link's per-VC pushed/popped/credit counters
 //     are mutually consistent and account exactly for the FIFO they feed
 //     (ring empty at boundaries);
@@ -111,12 +114,23 @@ func (n *Network) CheckInvariants() *guard.Violation {
 	tally := n.scanTally()
 	for _, r := range n.routers {
 		d := &tally[n.domainIndex(r.st)]
+		flits := 0
+		var req [numPorts][numVC]uint16
 		for p := 0; p < numPorts; p++ {
 			for v := 0; v < numVC; v++ {
 				q := &r.in[p][v]
-				d.flits += q.len()
+				flits += q.len()
 				d.refs += q.countTails()
+				if !q.empty() && q.front().head() {
+					o := n.cfg.NextPort(r.id, q.front().pkt.dst)
+					req[o][r.outVC(p, v, o)] |= reqBit(p, v)
+				}
 			}
+		}
+		d.flits += flits
+		if v := routerViolation(r, flits, &req); v != nil {
+			v.Shard = n.domainIndex(r.st) - 1
+			return v
 		}
 	}
 	for _, m := range n.masters {
@@ -201,6 +215,25 @@ func conservationViolation(shard, resident, observed int) *guard.Violation {
 	return &guard.Violation{Kind: guard.KindConservation, Shard: shard,
 		Msg: fmt.Sprintf("domain accounts %d resident flits but its router FIFOs hold %d "+
 			"(flits created or destroyed in flight)", resident, observed)}
+}
+
+// routerViolation compares a router's cached flit count and request masks
+// with the values recomputed from its FIFOs (flits, req).
+func routerViolation(r *router, flits int, req *[numPorts][numVC]uint16) *guard.Violation {
+	if r.flits != flits {
+		return &guard.Violation{Kind: guard.KindConservation,
+			Msg: fmt.Sprintf("router %d counts %d flits but its FIFOs hold %d", r.id, r.flits, flits)}
+	}
+	for o := 0; o < numPorts; o++ {
+		for vc := 0; vc < numVC; vc++ {
+			if r.req[o][vc] != req[o][vc] {
+				return &guard.Violation{Kind: guard.KindConservation,
+					Msg: fmt.Sprintf("router %d output %s vc %s: request mask %#x, but its FIFO fronts request %#x",
+						r.id, portNames[o], vcNames[vc], r.req[o][vc], req[o][vc])}
+			}
+		}
+	}
+	return nil
 }
 
 func linkViolation(cl *cutLink, vc int, what string) *guard.Violation {

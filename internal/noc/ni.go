@@ -161,11 +161,10 @@ func (m *masterNI) tick(cycle uint64) {
 		return
 	}
 	r := m.net.routers[m.node]
-	q := &r.in[portL][vcReq]
-	if q.len() >= m.net.cfg.BufferFlits {
+	if r.in[portL][vcReq].len() >= m.net.cfg.BufferFlits {
 		return
 	}
-	q.push(flit{pkt: m.pkt, idx: m.nextFlit, arrived: cycle})
+	r.push(portL, vcReq, flit{pkt: m.pkt, idx: m.nextFlit, arrived: cycle})
 	m.st.residentFlits++
 	m.nextFlit++
 	if m.nextFlit == m.pkt.length {
@@ -244,9 +243,8 @@ func (s *slaveNI) tick(cycle uint64) {
 	// Drain the outgoing response packet first: one flit per cycle.
 	if s.out != nil {
 		r := s.net.routers[s.node]
-		q := &r.in[portL][vcResp]
-		if q.len() < s.net.cfg.BufferFlits {
-			q.push(flit{pkt: s.out, idx: s.nextFlit, arrived: cycle})
+		if r.in[portL][vcResp].len() < s.net.cfg.BufferFlits {
+			r.push(portL, vcResp, flit{pkt: s.out, idx: s.nextFlit, arrived: cycle})
 			s.st.residentFlits++
 			s.nextFlit++
 			if s.nextFlit == s.out.length {

@@ -22,6 +22,7 @@ package noc
 
 import (
 	"fmt"
+	"math/bits"
 
 	"noctg/internal/ocp"
 	"noctg/internal/sim"
@@ -266,47 +267,29 @@ type router struct {
 	// exporter through the link's counters).
 	cut   [numPorts]*cutLink
 	inCut [numPorts]*cutLink
+
+	// flits counts the flits in the input FIFOs. An empty router's tick
+	// changes no state, so tick returns at once while it is 0.
+	flits int
+	// req[o][ovc] has bit reqBit(in, invc) set while the head flit at the
+	// front of input FIFO (in, invc) requests output o on out-VC ovc. The
+	// request is posted once per head per hop, when the head becomes its
+	// FIFO's front, and cleared when the head pops; allocation visits only
+	// set bits.
+	req [numPorts][numVC]uint16
 }
+
+// reqBits is the width of a request mask: one bit per (input port, VC
+// variant), where variant 0 is a class's base VC and 1 its dateline VC.
+const reqBits = 2 * numPorts
+
+// reqBit returns the request-mask bit of input FIFO (in, invc). The
+// dateline VCs are the base VCs + 2, so invc/2 is the variant.
+func reqBit(in, invc int) uint16 { return 1 << (2*in + invc/2) }
 
 // localSink is the NI side of a router's local port.
 type localSink interface {
 	acceptFlit(fl flit, cycle uint64)
-}
-
-// route returns the output port for a flit headed to dst: XY
-// dimension-ordered routing, taking the shorter way around each ring on a
-// torus (a tie at exactly half the ring goes east/south, so every router
-// along the path agrees on the direction).
-func (r *router) route(dst int) int {
-	w, h := r.n.cfg.Width, r.n.cfg.Height
-	dx := (dst % w) - r.x
-	dy := (dst / w) - r.y
-	if r.n.cfg.Topology == Torus {
-		if dx != 0 {
-			if e := ((dx % w) + w) % w; 2*e <= w {
-				return portE
-			}
-			return portW
-		}
-		if dy != 0 {
-			if s := ((dy % h) + h) % h; 2*s <= h {
-				return portS
-			}
-			return portN
-		}
-		return portL
-	}
-	switch {
-	case dx > 0:
-		return portE
-	case dx < 0:
-		return portW
-	case dy > 0:
-		return portS
-	case dy < 0:
-		return portN
-	}
-	return portL
 }
 
 // wraps reports whether this router's output dir is a torus wrap link (the
@@ -399,16 +382,43 @@ func (r *router) deliver(dir, vc int, fl flit, cycle uint64) {
 		r.st.residentFlits--
 		return
 	}
-	nb := r.n.neighbor(r.id, dir)
-	nb.in[opposite(dir)][vc].push(fl)
+	r.n.neighbor(r.id, dir).push(opposite(dir), vc, fl)
+}
+
+// push appends a flit to input FIFO (port, vc), posting the switch request
+// of a head flit that lands at the front of an empty FIFO.
+func (r *router) push(port, vc int, fl flit) {
+	q := &r.in[port][vc]
+	q.push(fl)
+	r.flits++
+	if q.n == 1 && fl.head() {
+		r.request(port, vc, fl.pkt.dst)
+	}
+}
+
+// request posts the switch request of the head flit (headed to dst) at the
+// front of input FIFO (in, invc): dimension-ordered routing picks the
+// output, the dateline rule the out-VC.
+func (r *router) request(in, invc, dst int) {
+	o := r.n.cfg.NextPort(r.id, dst)
+	r.req[o][r.outVC(in, invc, o)] |= reqBit(in, invc)
 }
 
 // tick performs switch allocation and forwards at most one flit per output
-// port (the physical link constraint), choosing among VCs round-robin.
+// port (the physical link constraint), choosing among VCs round-robin. Its
+// cost follows the flits: an empty router returns at once, and an
+// (output, out-VC) with neither a wormhole owner nor a request is skipped —
+// tryForward could not move a flit there.
 func (r *router) tick(cycle uint64) {
+	if r.flits == 0 {
+		return
+	}
 	for o := 0; o < numPorts; o++ {
 		for k := 0; k < numVC; k++ {
 			vc := (r.rrVC[o] + k) % numVC
+			if r.alloc[o][vc].in < 0 && r.req[o][vc] == 0 {
+				continue
+			}
 			if r.tryForward(o, vc, cycle) {
 				r.rrVC[o] = (vc + 1) % numVC
 				r.st.flitsRouted++
@@ -428,27 +438,18 @@ func (r *router) tryForward(o, ovc int, cycle uint64) bool {
 		return false
 	}
 	if r.alloc[o][ovc].in < 0 {
-		// Allocate the wormhole to an input whose head flit requests o
-		// and would leave on ovc.
-		n := numPorts
-	scan:
-		for k := 0; k < n; k++ {
-			i := (r.rrIn[o][ovc] + k) % n
-			for _, invc := range [2]int{baseVC(ovc), datelineVC(ovc)} {
-				q := &r.in[i][invc]
-				if q.empty() {
-					continue
-				}
-				fl := q.front()
-				if !fl.head() || fl.arrived >= cycle {
-					continue
-				}
-				if r.route(fl.pkt.dst) != o || r.outVC(i, invc, o) != ovc {
-					continue
-				}
+		// Allocate the wormhole to the first requesting head that arrived
+		// before this cycle, round-robin from input rrIn (base VC before
+		// dateline VC): rotating the mask puts input rrIn's base bit at 0.
+		start := 2 * r.rrIn[o][ovc]
+		m := r.req[o][ovc]
+		for rot := (m>>start | m<<(reqBits-start)) & (1<<reqBits - 1); rot != 0; rot &= rot - 1 {
+			b := (bits.TrailingZeros16(rot) + start) % reqBits
+			i, invc := b/2, baseVC(ovc)+2*(b%2)
+			if r.in[i][invc].front().arrived < cycle {
 				r.alloc[o][ovc] = hold{in: i, invc: invc}
-				r.rrIn[o][ovc] = (i + 1) % n
-				break scan
+				r.rrIn[o][ovc] = (i + 1) % numPorts
+				break
 			}
 		}
 	}
@@ -468,6 +469,10 @@ func (r *router) tryForward(o, ovc int, cycle uint64) bool {
 		return false
 	}
 	moved := q.pop()
+	r.flits--
+	if moved.head() {
+		r.req[o][ovc] &^= reqBit(a.in, a.invc)
+	}
 	if r.n.sharded {
 		if q.poppedAt != cycle {
 			q.poppedAt, q.poppedN = cycle, 0
@@ -479,6 +484,13 @@ func (r *router) tryForward(o, ovc int, cycle uint64) bool {
 	}
 	if moved.tail() {
 		r.alloc[o][ovc] = hold{in: -1}
+		// The next packet's head is exposed: a later output can grant it
+		// in this same tick.
+		if !q.empty() {
+			if f := q.front(); f.head() {
+				r.request(a.in, a.invc, f.pkt.dst)
+			}
+		}
 	}
 	if fa := r.n.faults; fa != nil && fa.dropped(r.id, o, cycle) {
 		// Injected fault: the flit vanishes with its bookkeeping
@@ -829,12 +841,8 @@ func (n *Network) Tick(cycle uint64) {
 // remain anywhere in the fabric.
 func (n *Network) Idle() bool {
 	for _, r := range n.routers {
-		for p := 0; p < numPorts; p++ {
-			for v := 0; v < numVC; v++ {
-				if !r.in[p][v].empty() {
-					return false
-				}
-			}
+		if r.flits != 0 {
+			return false
 		}
 	}
 	return n.nisIdle()

@@ -258,21 +258,20 @@ func TestIdleAfterDrain(t *testing.T) {
 }
 
 func TestXYRouteFunction(t *testing.T) {
-	e := sim.NewEngine(sim.Clock{})
-	n := New(Config{Width: 4, Height: 3}, e.Cycle)
-	r5 := n.routers[5] // (1,1)
+	cfg := Config{Width: 4, Height: 3}
+	// From node 5 = (1,1).
 	cases := map[int]int{
 		6: portE, 4: portW, 1: portN, 9: portS, 5: portL,
 		7: portE, // X first even though Y also differs? dst 7 = (3,1): same row → E
 		0: portW, // (0,0): X first → W
 	}
 	for dst, want := range cases {
-		if got := r5.route(dst); got != want {
-			t.Errorf("route(5→%d) = %d, want %d", dst, got, want)
+		if got := cfg.NextPort(5, dst); got != want {
+			t.Errorf("NextPort(5→%d) = %d, want %d", dst, got, want)
 		}
 	}
 	// Dimension order: for dst 2 = (2,0) from 5 = (1,1): dx=+1 → E first.
-	if r5.route(2) != portE {
+	if cfg.NextPort(5, 2) != portE {
 		t.Error("XY routing must resolve X before Y")
 	}
 }

@@ -174,9 +174,12 @@ func TestExchangeDrainsInOrder(t *testing.T) {
 	n := newNet(Config{Width: 4, Height: 4})
 	regions := n.Partition(2)
 	cl := regions[0].exports[0]
+	// The importing router posts the head's switch request, which routes
+	// on the packet's destination.
+	p := &packet{dst: cl.dst.id, length: 3}
 
 	for i := 0; i < 3; i++ {
-		cl.push(0, flit{idx: i})
+		cl.push(0, flit{pkt: p, idx: i})
 	}
 	if cl.pushed[0] != 3 {
 		t.Fatalf("pushed[0] = %d, want 3", cl.pushed[0])
@@ -241,9 +244,10 @@ func TestExchangeAllocFree(t *testing.T) {
 	n := newNet(Config{Width: 4, Height: 4})
 	regions := n.Partition(2)
 	cl := regions[0].exports[0]
+	p := &packet{dst: cl.dst.id, length: 4}
 	if avg := testing.AllocsPerRun(200, func() {
 		for i := 0; i < 4; i++ {
-			cl.push(0, flit{idx: i})
+			cl.push(0, flit{pkt: p, idx: i})
 		}
 		regions[1].Exchange()
 		q := &cl.dst.in[cl.inPort][0]

@@ -288,7 +288,7 @@ func (rg *Region) Exchange() int {
 			cf := *slot
 			slot.fl.pkt = nil // drop the packet reference for the pool's sake
 			cl.ringHead++
-			cl.dst.in[cl.inPort][cf.vc].push(cf.fl)
+			cl.dst.push(cl.inPort, cf.vc, cf.fl)
 			imported++
 		}
 	}

@@ -55,10 +55,10 @@ type Hop struct {
 // NextPort returns the output port a packet at router cur takes toward dst
 // under the fabric's dimension-ordered routing: X first then Y on the
 // mesh, shortest way around each ring (ties toward east/south) on the
-// torus. It returns PortL when cur == dst. The logic mirrors the live
-// router's route decision exactly; TestRouteMatchesRouter pins the
-// equivalence, so analytic channel-load enumeration and the simulated
-// fabric can never drift apart.
+// torus. It returns PortL when cur == dst. It is the fabric's only DOR
+// implementation: the live routers route every head flit through it, so
+// analytic channel-load enumeration and the simulated fabric take the same
+// paths by construction.
 func (c Config) NextPort(cur, dst int) int {
 	c = c.WithDefaults()
 	w, h := c.Width, c.Height

@@ -2,30 +2,6 @@ package noc
 
 import "testing"
 
-// TestRouteMatchesRouter pins the exported route enumerator to the live
-// router's DOR decision on every (src, dst, position) triple of both
-// topologies: analytic channel loads must come from the same paths the
-// fabric actually uses.
-func TestRouteMatchesRouter(t *testing.T) {
-	for _, topo := range []Topology{Mesh, Torus} {
-		for _, dims := range [][2]int{{4, 3}, {2, 2}, {5, 4}, {3, 5}} {
-			cfg := Config{Width: dims[0], Height: dims[1], Topology: topo}.WithDefaults()
-			net := New(cfg, func() uint64 { return 0 })
-			nodes := cfg.Width * cfg.Height
-			for cur := 0; cur < nodes; cur++ {
-				for dst := 0; dst < nodes; dst++ {
-					want := net.routers[cur].route(dst)
-					got := cfg.NextPort(cur, dst)
-					if got != want {
-						t.Fatalf("%v %dx%d: NextPort(%d, %d) = %s, router says %s",
-							topo, cfg.Width, cfg.Height, cur, dst, PortName(got), PortName(want))
-					}
-				}
-			}
-		}
-	}
-}
-
 // TestRouteTerminates walks every pair and checks the enumerated route
 // ends with the local ejection at dst and is cycle-free.
 func TestRouteTerminates(t *testing.T) {

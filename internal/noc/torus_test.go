@@ -37,7 +37,7 @@ func TestParseTopology(t *testing.T) {
 // TestTorusRouteShortestPath checks the per-hop routing decision: the torus
 // must take the shorter way around each ring, ties toward east/south.
 func TestTorusRouteShortestPath(t *testing.T) {
-	n := New(Config{Width: 4, Height: 4, Topology: Torus}, func() uint64 { return 0 })
+	cfg := Config{Width: 4, Height: 4, Topology: Torus}
 	cases := []struct {
 		from, to int
 		want     int
@@ -54,7 +54,7 @@ func TestTorusRouteShortestPath(t *testing.T) {
 		{1, 11, portE}, // X resolved before Y (dimension order)
 	}
 	for _, tc := range cases {
-		got := n.routers[tc.from].route(tc.to)
+		got := cfg.NextPort(tc.from, tc.to)
 		if got != tc.want {
 			t.Fatalf("route %d->%d = %d, want %d", tc.from, tc.to, got, tc.want)
 		}

@@ -159,9 +159,9 @@ func (sp *Sampler) DestProbs(src int, probs []float64) []float64 {
 			prev = c
 		}
 		rest := 1 - sp.hotSum
-		if set := sp.candidates[src]; len(set) > 0 && rest > 0 {
-			for _, d := range set {
-				probs[d] += rest / float64(len(set))
+		if n := sp.drawCount(src); n > 0 && rest > 0 {
+			for k := 0; k < n; k++ {
+				probs[sp.draw(src, k)] += rest / float64(n)
 			}
 		} else if rest > 0 {
 			// No cold candidate (weights sum to ~1): Dest folds the float
@@ -170,9 +170,9 @@ func (sp *Sampler) DestProbs(src int, probs []float64) []float64 {
 		}
 		return probs
 	}
-	set := sp.candidates[src]
-	for _, d := range set {
-		probs[d] = 1 / float64(len(set))
+	n := sp.drawCount(src)
+	for k := 0; k < n; k++ {
+		probs[sp.draw(src, k)] = 1 / float64(n)
 	}
 	return probs
 }

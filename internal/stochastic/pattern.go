@@ -186,9 +186,15 @@ type Sampler struct {
 	// fixed[src] is the destination of a deterministic pattern, -1 for
 	// randomized patterns.
 	fixed []int
-	// candidates[src] lists the draw set of a randomized pattern
-	// (uniform/neighbour targets, hotspot cold nodes).
-	candidates [][]int
+	// pool is the uniform or hotspot draw set (every node, or the cold
+	// nodes) before a source drops itself: source src draws from pool
+	// without index poolAt[src] (-1 when src keeps the whole pool). Every
+	// master compiles its own sampler, so one shared set per sampler, not
+	// one per source, keeps it at O(nodes) memory.
+	pool   []int
+	poolAt []int
+	// neighbors[src] lists the nearest-neighbour draw set of src.
+	neighbors [][]int
 	// hotNodes/hotCum hold the weighted hotspot nodes and the cumulative
 	// weight ladder; hotSum is the total hotspot mass.
 	hotNodes []int
@@ -221,7 +227,7 @@ func NewSampler(s Spatial) (*Sampler, error) {
 		for src := range sp.fixed {
 			sp.fixed[src] = int(bits.Reverse(uint(src)) >> shift)
 		}
-	case UniformRandom, Hotspot, NearestNeighbor:
+	case UniformRandom, Hotspot:
 		if s.Pattern == Hotspot {
 			for n, w := range s.HotspotWeights {
 				if w > 0 {
@@ -231,10 +237,26 @@ func NewSampler(s Spatial) (*Sampler, error) {
 				}
 			}
 		}
-		sp.candidates = make([][]int, nodes)
+		sp.poolAt = make([]int, nodes)
+		for d := 0; d < nodes; d++ {
+			sp.poolAt[d] = -1
+			if d < len(s.HotspotWeights) && s.HotspotWeights[d] > 0 {
+				continue // hotspot mass; the pool is the cold remainder
+			}
+			if !s.AllowSelf {
+				sp.poolAt[d] = len(sp.pool)
+			}
+			sp.pool = append(sp.pool, d)
+		}
+	case NearestNeighbor:
+		sp.neighbors = make([][]int, nodes)
+		for src := range sp.neighbors {
+			sp.neighbors[src] = s.neighborSet(src)
+		}
+	}
+	if sp.fixed == nil {
 		for src := 0; src < nodes; src++ {
-			sp.candidates[src] = s.drawSet(src)
-			if len(sp.candidates[src]) == 0 && !(s.Pattern == Hotspot && sp.hotSum >= 1-hotspotSumTol) {
+			if sp.drawCount(src) == 0 && !(s.Pattern == Hotspot && sp.hotSum >= 1-hotspotSumTol) {
 				return nil, fmt.Errorf("stochastic: node %d of pattern %v has no destination to draw", src, s.Pattern)
 			}
 		}
@@ -242,49 +264,52 @@ func NewSampler(s Spatial) (*Sampler, error) {
 	return sp, nil
 }
 
-// drawSet enumerates the randomized draw candidates of one source node.
-func (s Spatial) drawSet(src int) []int {
-	nodes := s.W * s.H
+// neighborSet enumerates the distinct nearest neighbours of one source node.
+func (s Spatial) neighborSet(src int) []int {
 	var set []int
-	switch s.Pattern {
-	case UniformRandom:
-		for d := 0; d < nodes; d++ {
-			if d != src || s.AllowSelf {
-				set = append(set, d)
-			}
+	x, y := src%s.W, src/s.W
+	for _, nb := range [4][2]int{
+		{x, (y - 1 + s.H) % s.H},
+		{(x + 1) % s.W, y},
+		{x, (y + 1) % s.H},
+		{(x - 1 + s.W) % s.W, y},
+	} {
+		d := nb[1]*s.W + nb[0]
+		if d == src && !s.AllowSelf {
+			continue
 		}
-	case Hotspot:
-		// Cold set: the unweighted nodes the remainder mass spreads over.
-		for d := 0; d < nodes; d++ {
-			if d < len(s.HotspotWeights) && s.HotspotWeights[d] > 0 {
-				continue
-			}
-			if d != src || s.AllowSelf {
-				set = append(set, d)
-			}
+		dup := false
+		for _, e := range set {
+			dup = dup || e == d
 		}
-	case NearestNeighbor:
-		x, y := src%s.W, src/s.W
-		for _, nb := range [4][2]int{
-			{x, (y - 1 + s.H) % s.H},
-			{(x + 1) % s.W, y},
-			{x, (y + 1) % s.H},
-			{(x - 1 + s.W) % s.W, y},
-		} {
-			d := nb[1]*s.W + nb[0]
-			if d == src && !s.AllowSelf {
-				continue
-			}
-			dup := false
-			for _, e := range set {
-				dup = dup || e == d
-			}
-			if !dup {
-				set = append(set, d)
-			}
+		if !dup {
+			set = append(set, d)
 		}
 	}
 	return set
+}
+
+// drawCount returns the size of src's randomized draw set.
+func (sp *Sampler) drawCount(src int) int {
+	if sp.neighbors != nil {
+		return len(sp.neighbors[src])
+	}
+	if sp.poolAt[src] >= 0 {
+		return len(sp.pool) - 1
+	}
+	return len(sp.pool)
+}
+
+// draw returns the k-th destination of src's draw set (in ascending node
+// order, except for nearest neighbours: N, E, S, W).
+func (sp *Sampler) draw(src, k int) int {
+	if sp.neighbors != nil {
+		return sp.neighbors[src][k]
+	}
+	if skip := sp.poolAt[src]; skip >= 0 && k >= skip {
+		k++
+	}
+	return sp.pool[k]
 }
 
 // Nodes returns the logical node count.
@@ -308,15 +333,14 @@ func (sp *Sampler) Dest(src int, rng *rand.Rand) int {
 			}
 			return sp.hotNodes[len(sp.hotNodes)-1]
 		}
-		if set := sp.candidates[src]; len(set) > 0 {
-			return set[rng.Intn(len(set))]
+		if n := sp.drawCount(src); n > 0 {
+			return sp.draw(src, rng.Intn(n))
 		}
 		// Weights sum to 1 but the draw landed in the float tail: fold it
 		// onto the last hotspot.
 		return sp.hotNodes[len(sp.hotNodes)-1]
 	}
-	set := sp.candidates[src]
-	return set[rng.Intn(len(set))]
+	return sp.draw(src, rng.Intn(sp.drawCount(src)))
 }
 
 // Range returns the address range of logical node d.

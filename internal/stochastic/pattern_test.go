@@ -324,3 +324,44 @@ func TestSpatialValidate(t *testing.T) {
 		}
 	}
 }
+
+// TestPooledDrawSets: the shared uniform/hotspot pool, minus the source's
+// own index, must enumerate exactly the per-source draw set — every
+// eligible node in ascending order — for hot and cold sources, with and
+// without AllowSelf. Dest maps rng.Intn over this enumeration, so equal
+// sets mean equal draw sequences.
+func TestPooledDrawSets(t *testing.T) {
+	hot := []float64{0, 0, 0.2, 0, 0, 0, 0, 0.1}
+	for _, pat := range []Pattern{UniformRandom, Hotspot} {
+		for _, self := range []bool{false, true} {
+			s := Spatial{Pattern: pat, W: 4, H: 3, Dests: dests(12), AllowSelf: self}
+			if pat == Hotspot {
+				s.HotspotWeights = hot
+			}
+			sp := sampler(t, s)
+			for src := 0; src < 12; src++ {
+				var want []int
+				for d := 0; d < 12; d++ {
+					if pat == Hotspot && d < len(hot) && hot[d] > 0 {
+						continue
+					}
+					if d != src || self {
+						want = append(want, d)
+					}
+				}
+				got := make([]int, sp.drawCount(src))
+				for k := range got {
+					got[k] = sp.draw(src, k)
+				}
+				if len(got) != len(want) {
+					t.Fatalf("%v self=%v src %d: draw set %v, want %v", pat, self, src, got, want)
+				}
+				for k := range got {
+					if got[k] != want[k] {
+						t.Fatalf("%v self=%v src %d: draw set %v, want %v", pat, self, src, got, want)
+					}
+				}
+			}
+		}
+	}
+}
