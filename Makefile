@@ -65,17 +65,13 @@ paper:
 	$(GO) run ./cmd/tgsweep -paper -sizes quick
 
 # make resume-demo demonstrates a crash-safe campaign: a journaled sweep
-# is SIGKILLed mid-run, then resumed to completion — the resumed artifacts
-# are byte-identical to an uninterrupted run.
+# is SIGKILLed mid-run (at half the time of a timed uninterrupted run),
+# then resumed to completion — the resumed artifacts are byte-identical to
+# the uninterrupted run's.
 resume-demo:
 	$(GO) build -o /tmp/tgsweep ./cmd/tgsweep
-	rm -f /tmp/resume-demo.journal
-	-timeout -s KILL 0.2 /tmp/tgsweep -grid default -workers 1 \
-		-journal /tmp/resume-demo.journal -out /tmp/resume-demo
-	@echo "--- killed mid-sweep; resuming ---"
-	/tmp/tgsweep -grid default \
-		-journal /tmp/resume-demo.journal -resume -out /tmp/resume-demo
-	@echo "resumed artifacts: /tmp/resume-demo.json /tmp/resume-demo.csv"
+	./scripts/crash_resume.sh /tmp/tgsweep /tmp/resume-demo -grid default -workers 1
+	@echo "resumed artifacts: /tmp/resume-demo/res.json /tmp/resume-demo/res.csv"
 
 clean:
 	rm -f bench/*.txt results.json results.csv scenarios.json scenarios.csv \

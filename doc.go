@@ -189,11 +189,17 @@
 // at once, and switch allocation reads per-(output, out-VC) request
 // bitmasks that each head flit posts once per hop, when it reaches the
 // front of its FIFO, instead of probing every input × VC FIFO for every
-// output × VC on every cycle. The cost per simulated cycle is therefore
-// per occupied router and per requesting head flit. On a 2-vCPU host this
-// took the paper's TG replay on ×pipes from under 0.1 to over 2
+// output × VC on every cycle. A per-output live-VC mask (set while an
+// out-VC has a wormhole owner or a request) lets an occupied router skip
+// idle outputs and visit only live out-VCs, in the same round-robin order
+// a full scan would. Routers cache their neighbour links, FIFO rings wrap
+// by compare, and dimension-ordered routing is division-free, so a flit's
+// only integer division is its head's destination → grid coordinates,
+// once per hop. The cost per simulated cycle is
+// therefore per occupied router and per live channel. On a 2-vCPU host
+// this took the paper's TG replay on ×pipes from under 0.1 to 3.7
 // Msimcycles/s (BenchmarkCrossInterconnectTGOnXPipes) and the routed flit
-// from ~6000 to under 200 ns of router time, with every simulated result
+// from ~6000 to 106 ns of router time, with every simulated result
 // unchanged.
 //
 // # Phased measurement

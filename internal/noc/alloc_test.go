@@ -89,3 +89,49 @@ func TestAllocatorSameCycleTiming(t *testing.T) {
 		}
 	})
 }
+
+// TestVCRoundRobinExact pins the output VC arbiter on one output with two
+// live out-VCs: a request packet A (4 flits, from the west) and a response
+// packet B (2 flits, from the south) converge on the centre router's east
+// output, both headed to node 5. The arbiter alternates between the two
+// live VCs and steps over the dead dateline VCs (2, 3) when it wraps: after
+// serving resp (VC 1) the pointer sits at VC 2, and the next grant goes to
+// req (VC 0). Once B's tail has passed, A owns the link every cycle.
+func TestVCRoundRobinExact(t *testing.T) {
+	n := allocRig()
+	a := &packet{src: 3, dst: 5, length: 4}
+	b := &packet{src: 7, dst: 5, length: 2, isResp: true}
+	inject(n, 3, portE, a)
+	for i := 0; i < b.length; i++ {
+		n.routers[7].deliver(portN, vcResp, flit{pkt: b, idx: i}, 0)
+	}
+	// rrVC of router 4's east output after each cycle.
+	wantRR := []int{1: 1, 2: 2, 3: 1, 4: 2, 5: 1, 6: 1}
+	for c := uint64(1); c < uint64(len(wantRR)); c++ {
+		n.Tick(c)
+		if got := n.routers[4].rrVC[portE]; got != wantRR[c] {
+			t.Fatalf("after cycle %d: rrVC[E] = %d, want %d", c, got, wantRR[c])
+		}
+	}
+	// The cycle each flit left router 4 is its arrival stamp at node 5.
+	for _, tc := range []struct {
+		name string
+		vc   int
+		pkt  *packet
+		want []uint64
+	}{
+		{"req A", vcReq, a, []uint64{1, 3, 5, 6}},
+		{"resp B", vcResp, b, []uint64{2, 4}},
+	} {
+		q := &n.routers[5].in[portW][tc.vc]
+		if q.len() != len(tc.want) {
+			t.Fatalf("%s: node 5 holds %d flits, want %d", tc.name, q.len(), len(tc.want))
+		}
+		for i, want := range tc.want {
+			f := q.buf[(q.head+i)%len(q.buf)]
+			if f.pkt != tc.pkt || f.idx != i || f.arrived != want {
+				t.Errorf("%s flit %d: left router 4 in cycle %d (idx %d), want cycle %d", tc.name, i, f.arrived, f.idx, want)
+			}
+		}
+	}
+}

@@ -102,8 +102,10 @@ func (n *Network) domainIndex(st *shardState) int {
 //   - flit conservation: each domain's residentFlits equals its routers'
 //     total FIFO occupancy;
 //   - router bookkeeping: each router's flit count equals its FIFO
-//     occupancy, and its switch-request masks equal the masks recomputed
-//     from the head flits at its FIFO fronts;
+//     occupancy, its switch-request masks equal the masks recomputed
+//     from the head flits at its FIFO fronts, its live-VC masks mark
+//     exactly the out-VCs with an owner or a request, and its cached
+//     neighbour links match the topology;
 //   - link counters: each cut link's per-VC pushed/popped/credit counters
 //     are mutually consistent and account exactly for the FIFO they feed
 //     (ring empty at boundaries);
@@ -217,8 +219,9 @@ func conservationViolation(shard, resident, observed int) *guard.Violation {
 			"(flits created or destroyed in flight)", resident, observed)}
 }
 
-// routerViolation compares a router's cached flit count and request masks
-// with the values recomputed from its FIFOs (flits, req).
+// routerViolation compares a router's cached flit count, request masks,
+// live-VC masks and neighbour links with the values recomputed from its
+// FIFOs (flits, req), its wormhole owners and the topology.
 func routerViolation(r *router, flits int, req *[numPorts][numVC]uint16) *guard.Violation {
 	if r.flits != flits {
 		return &guard.Violation{Kind: guard.KindConservation,
@@ -231,6 +234,20 @@ func routerViolation(r *router, flits int, req *[numPorts][numVC]uint16) *guard.
 					Msg: fmt.Sprintf("router %d output %s vc %s: request mask %#x, but its FIFO fronts request %#x",
 						r.id, portNames[o], vcNames[vc], r.req[o][vc], req[o][vc])}
 			}
+			want := r.alloc[o][vc].in >= 0 || req[o][vc] != 0
+			if got := r.live[o]&(1<<vc) != 0; got != want {
+				return &guard.Violation{Kind: guard.KindConservation,
+					Msg: fmt.Sprintf("router %d output %s vc %s: live bit %t, but owner %d and request mask %#x",
+						r.id, portNames[o], vcNames[vc], got, r.alloc[o][vc].in, req[o][vc])}
+			}
+		}
+		var nb *router
+		if o != portL && r.n.hasLink(r, o) {
+			nb = r.n.neighbor(r.id, o)
+		}
+		if r.nb[o] != nb {
+			return &guard.Violation{Kind: guard.KindConservation,
+				Msg: fmt.Sprintf("router %d output %s: cached neighbour link does not match the topology", r.id, portNames[o])}
 		}
 	}
 	return nil

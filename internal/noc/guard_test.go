@@ -9,8 +9,9 @@ import (
 )
 
 // TestCheckInvariantsRouterBookkeeping corrupts each piece of a router's
-// cached state — its flit count and its switch-request masks — on a fabric
-// with traffic in flight, and expects the conservation scan to report it.
+// cached state — its flit count, switch-request masks, live-VC masks and
+// neighbour links — on a fabric with traffic in flight, and expects the
+// conservation scan to report it.
 func TestCheckInvariantsRouterBookkeeping(t *testing.T) {
 	corruptions := map[string]func(r *router){
 		"flit count":      func(r *router) { r.flits++ },
@@ -22,6 +23,11 @@ func TestCheckInvariantsRouterBookkeeping(t *testing.T) {
 				}
 			}
 		},
+		// The mesh never occupies a dateline VC, so this bit has neither an
+		// owner nor a request.
+		"stale live bit":  func(r *router) { r.live[portN] |= 1 << vcRespDL },
+		"lost live bit":   func(r *router) { r.live = [numPorts]uint8{} },
+		"wrong neighbour": func(r *router) { r.nb[portN] = r },
 	}
 	for name, corrupt := range corruptions {
 		t.Run(name, func(t *testing.T) {

@@ -68,18 +68,13 @@ const (
 	numPorts
 )
 
+// opposite returns the port facing dir across a link: the compass ports
+// are numbered so that N/S and E/W differ in bit 1.
 func opposite(dir int) int {
-	switch dir {
-	case portN:
-		return portS
-	case portS:
-		return portN
-	case portE:
-		return portW
-	case portW:
-		return portE
+	if dir == portL {
+		return portL
 	}
-	return portL
+	return dir ^ 2
 }
 
 // Topology selects the link structure of the fabric.
@@ -219,7 +214,11 @@ func (f *fifo) push(fl flit) {
 	if f.n == len(f.buf) {
 		panic("noc: fifo overflow")
 	}
-	f.buf[(f.head+f.n)%len(f.buf)] = fl
+	i := f.head + f.n
+	if i >= len(f.buf) {
+		i -= len(f.buf)
+	}
+	f.buf[i] = fl
 	f.n++
 }
 
@@ -230,7 +229,9 @@ func (f *fifo) front() *flit { return &f.buf[f.head] }
 func (f *fifo) pop() flit {
 	fl := f.buf[f.head]
 	f.buf[f.head].pkt = nil // drop the packet reference for the pool's sake
-	f.head = (f.head + 1) % len(f.buf)
+	if f.head++; f.head == len(f.buf) {
+		f.head = 0
+	}
 	f.n--
 	return fl
 }
@@ -257,6 +258,9 @@ type router struct {
 	rrVC  [numPorts]int
 	rrIn  [numPorts][numVC]int
 	local localSink // attached NI, or nil
+	// nb[dir] is the router at the far end of output dir's link, nil where
+	// the fabric has no link (mesh edges, and always the local port).
+	nb [numPorts]*router
 
 	// st is the pool/stats domain this router charges: the network's own in
 	// the single-engine configuration, its region's after Partition.
@@ -277,6 +281,9 @@ type router struct {
 	// FIFO's front, and cleared when the head pops; allocation visits only
 	// set bits.
 	req [numPorts][numVC]uint16
+	// live[o] has bit ovc set while (o, ovc) has a wormhole owner or a
+	// non-zero request mask — the only out-VCs tick can move a flit on.
+	live [numPorts]uint8
 }
 
 // reqBits is the width of a request mask: one bit per (input port, VC
@@ -353,8 +360,7 @@ func (r *router) downstreamSpace(dir, vc int, cycle uint64) bool {
 	if cl := r.cut[dir]; cl != nil {
 		return cl.pushed[vc]-cl.credit[vc] < uint64(r.n.cfg.BufferFlits)
 	}
-	nb := r.n.neighbor(r.id, dir)
-	q := &nb.in[opposite(dir)][vc]
+	q := &r.nb[dir].in[opposite(dir)][vc]
 	occ := q.len()
 	if r.n.sharded && q.poppedAt == cycle {
 		occ += q.poppedN
@@ -382,7 +388,7 @@ func (r *router) deliver(dir, vc int, fl flit, cycle uint64) {
 		r.st.residentFlits--
 		return
 	}
-	r.n.neighbor(r.id, dir).push(opposite(dir), vc, fl)
+	r.nb[dir].push(opposite(dir), vc, fl)
 }
 
 // push appends a flit to input FIFO (port, vc), posting the switch request
@@ -400,27 +406,35 @@ func (r *router) push(port, vc int, fl flit) {
 // front of input FIFO (in, invc): dimension-ordered routing picks the
 // output, the dateline rule the out-VC.
 func (r *router) request(in, invc, dst int) {
-	o := r.n.cfg.NextPort(r.id, dst)
-	r.req[o][r.outVC(in, invc, o)] |= reqBit(in, invc)
+	w := r.n.cfg.Width
+	o := r.n.cfg.nextPort(r.x, r.y, dst%w, dst/w)
+	ovc := r.outVC(in, invc, o)
+	r.req[o][ovc] |= reqBit(in, invc)
+	r.live[o] |= 1 << ovc
 }
 
 // tick performs switch allocation and forwards at most one flit per output
 // port (the physical link constraint), choosing among VCs round-robin. Its
-// cost follows the flits: an empty router returns at once, and an
-// (output, out-VC) with neither a wormhole owner nor a request is skipped —
-// tryForward could not move a flit there.
+// cost follows the live channels: an empty router returns at once, an
+// output without a live out-VC is skipped, and the live out-VCs are visited
+// in round-robin order from rrVC — an (output, out-VC) with neither a
+// wormhole owner nor a request is one tryForward could not move a flit on.
+// live[o] is read as each output's turn comes, because a tail leaving an
+// earlier output can expose a head that requests a later one.
 func (r *router) tick(cycle uint64) {
 	if r.flits == 0 {
 		return
 	}
 	for o := 0; o < numPorts; o++ {
-		for k := 0; k < numVC; k++ {
-			vc := (r.rrVC[o] + k) % numVC
-			if r.alloc[o][vc].in < 0 && r.req[o][vc] == 0 {
-				continue
-			}
+		m := r.live[o]
+		if m == 0 {
+			continue
+		}
+		start := r.rrVC[o]
+		for rot := (m>>start | m<<(numVC-start)) & (1<<numVC - 1); rot != 0; rot &= rot - 1 {
+			vc := (bits.TrailingZeros8(rot) + start) & (numVC - 1)
 			if r.tryForward(o, vc, cycle) {
-				r.rrVC[o] = (vc + 1) % numVC
+				r.rrVC[o] = (vc + 1) & (numVC - 1)
 				r.st.flitsRouted++
 				r.st.flitsVC[vc].Inc()
 				break
@@ -484,6 +498,9 @@ func (r *router) tryForward(o, ovc int, cycle uint64) bool {
 	}
 	if moved.tail() {
 		r.alloc[o][ovc] = hold{in: -1}
+		if r.req[o][ovc] == 0 {
+			r.live[o] &^= 1 << ovc
+		}
 		// The next packet's head is exposed: a later output can grant it
 		// in this same tick.
 		if !q.empty() {
@@ -609,6 +626,13 @@ func New(cfg Config, now func() uint64) *Network {
 			}
 		}
 		n.routers = append(n.routers, r)
+	}
+	for _, r := range n.routers {
+		for dir := portN; dir < portL; dir++ {
+			if n.hasLink(r, dir) {
+				r.nb[dir] = n.neighbor(r.id, dir)
+			}
+		}
 	}
 	return n
 }

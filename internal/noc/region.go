@@ -150,10 +150,10 @@ func (n *Network) Partition(k int) []*Region {
 	for _, r := range n.routers {
 		src := regions[n.regionOfRow[r.y]]
 		for dir := portN; dir < portL; dir++ {
-			if !n.hasLink(r, dir) {
+			nb := r.nb[dir]
+			if nb == nil {
 				continue
 			}
-			nb := n.neighbor(r.id, dir)
 			dst := regions[n.regionOfRow[nb.y]]
 			if dst == src {
 				continue

@@ -55,24 +55,36 @@ type Hop struct {
 // NextPort returns the output port a packet at router cur takes toward dst
 // under the fabric's dimension-ordered routing: X first then Y on the
 // mesh, shortest way around each ring (ties toward east/south) on the
-// torus. It returns PortL when cur == dst. It is the fabric's only DOR
-// implementation: the live routers route every head flit through it, so
-// analytic channel-load enumeration and the simulated fabric take the same
-// paths by construction.
+// torus. It returns PortL when cur == dst. It wraps nextPort, the fabric's
+// only DOR implementation, which the live routers call for every head
+// flit — so analytic channel-load enumeration and the simulated fabric
+// take the same paths by construction.
 func (c Config) NextPort(cur, dst int) int {
 	c = c.WithDefaults()
-	w, h := c.Width, c.Height
-	dx := (dst % w) - (cur % w)
-	dy := (dst / w) - (cur / w)
+	w := c.Width
+	return c.nextPort(cur%w, cur/w, dst%w, dst/w)
+}
+
+// nextPort is NextPort on a defaulted configuration, from router (cx, cy)
+// toward (tx, ty). It does no division: on the torus a negative offset
+// becomes the eastward/southward distance by adding the ring length.
+func (c Config) nextPort(cx, cy, tx, ty int) int {
+	dx, dy := tx-cx, ty-cy
 	if c.Topology == Torus {
 		if dx != 0 {
-			if e := ((dx % w) + w) % w; 2*e <= w {
+			if dx < 0 {
+				dx += c.Width
+			}
+			if 2*dx <= c.Width {
 				return portE
 			}
 			return portW
 		}
 		if dy != 0 {
-			if s := ((dy % h) + h) % h; 2*s <= h {
+			if dy < 0 {
+				dy += c.Height
+			}
+			if 2*dy <= c.Height {
 				return portS
 			}
 			return portN

@@ -162,32 +162,35 @@ func TestGuardInvalidFaultPlanRecorded(t *testing.T) {
 	}
 }
 
+// parseGridRejects are grid files ParseGrid must refuse; they also seed
+// FuzzParseGrid.
+var parseGridRejects = []struct {
+	name string
+	src  string
+}{
+	{"empty", ""},
+	{"not json", "workloads: none"},
+	{"unknown field", `{"workloads":[{"kind":"stochastic","dist":"uniform","cores":2}],` +
+		`"fabrics":[{"interconnect":"amba"}],"bandwidth":9}`},
+	{"no fabrics", `{"workloads":[{"kind":"stochastic","dist":"uniform","cores":2}]}`},
+	{"over-limit shards", `{"workloads":[{"kind":"stochastic","dist":"uniform","cores":2}],` +
+		`"fabrics":[{"interconnect":"amba"}],"shards":65}`},
+	{"negative shards", `{"workloads":[{"kind":"stochastic","dist":"uniform","cores":2}],` +
+		`"fabrics":[{"interconnect":"amba"}],"shards":-1}`},
+	{"over-limit pattern grid", `{"workloads":[{"kind":"stochastic","dist":"uniform",` +
+		`"cores":16777216,"pattern":"uniform","pattern_w":4096,"pattern_h":4096}],` +
+		`"fabrics":[{"interconnect":"amba"}]}`},
+	{"pattern without grid", `{"workloads":[{"kind":"stochastic","dist":"uniform",` +
+		`"cores":4,"pattern_w":2,"pattern_h":2}],"fabrics":[{"interconnect":"amba"}]}`},
+	{"zero clock", `{"workloads":[{"kind":"stochastic","dist":"uniform","cores":2}],` +
+		`"fabrics":[{"interconnect":"amba"}],"clock_periods_ns":[0]}`},
+}
+
 // TestParseGridRejects: malformed or hostile grid files come back as
 // errors — bad JSON, typoed fields, over-limit axes — never panics or
 // silently shrunk grids.
 func TestParseGridRejects(t *testing.T) {
-	cases := []struct {
-		name string
-		src  string
-	}{
-		{"empty", ""},
-		{"not json", "workloads: none"},
-		{"unknown field", `{"workloads":[{"kind":"stochastic","dist":"uniform","cores":2}],` +
-			`"fabrics":[{"interconnect":"amba"}],"bandwidth":9}`},
-		{"no fabrics", `{"workloads":[{"kind":"stochastic","dist":"uniform","cores":2}]}`},
-		{"over-limit shards", `{"workloads":[{"kind":"stochastic","dist":"uniform","cores":2}],` +
-			`"fabrics":[{"interconnect":"amba"}],"shards":65}`},
-		{"negative shards", `{"workloads":[{"kind":"stochastic","dist":"uniform","cores":2}],` +
-			`"fabrics":[{"interconnect":"amba"}],"shards":-1}`},
-		{"over-limit pattern grid", `{"workloads":[{"kind":"stochastic","dist":"uniform",` +
-			`"cores":16777216,"pattern":"uniform","pattern_w":4096,"pattern_h":4096}],` +
-			`"fabrics":[{"interconnect":"amba"}]}`},
-		{"pattern without grid", `{"workloads":[{"kind":"stochastic","dist":"uniform",` +
-			`"cores":4,"pattern_w":2,"pattern_h":2}],"fabrics":[{"interconnect":"amba"}]}`},
-		{"zero clock", `{"workloads":[{"kind":"stochastic","dist":"uniform","cores":2}],` +
-			`"fabrics":[{"interconnect":"amba"}],"clock_periods_ns":[0]}`},
-	}
-	for _, tc := range cases {
+	for _, tc := range parseGridRejects {
 		if _, err := ParseGrid(strings.NewReader(tc.src)); err == nil {
 			t.Errorf("%s: ParseGrid accepted %q", tc.name, tc.src)
 		}
