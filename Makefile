@@ -66,8 +66,9 @@ paper:
 
 # make resume-demo demonstrates a crash-safe campaign: a journaled sweep
 # is SIGKILLed mid-run (at half the time of a timed uninterrupted run),
-# then resumed to completion — the resumed artifacts are byte-identical to
-# the uninterrupted run's.
+# then resumed to completion, and a second one is drained by SIGTERM at the
+# same point and resumed — the resumed artifacts are byte-identical to the
+# uninterrupted run's.
 resume-demo:
 	$(GO) build -o /tmp/tgsweep ./cmd/tgsweep
 	./scripts/crash_resume.sh /tmp/tgsweep /tmp/resume-demo -grid default -workers 1

@@ -94,8 +94,7 @@ type (
 	CacheConfig = cache.Config
 	// Interconnect selects the fabric (AMBA or XPipes).
 	Interconnect = platform.Interconnect
-	// KernelMode selects the simulation kernel (strict, idle-skipping or
-	// event-driven).
+	// KernelMode selects the simulation kernel (strict or event-driven).
 	KernelMode = platform.KernelMode
 )
 
@@ -116,9 +115,6 @@ const (
 	// KernelEvent ticks only devices whose scheduled wake is due, jumping
 	// all-asleep spans; per-cycle cost scales with the awake set.
 	KernelEvent = platform.KernelEvent
-	// KernelSkip fast-forwards over cycles in which every device sleeps;
-	// simulated results are identical to strict runs.
-	KernelSkip = platform.KernelSkip
 )
 
 // ParseKernel converts a "-kernel" style string into a KernelMode.

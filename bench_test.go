@@ -78,8 +78,8 @@ func benchARM(b *testing.B, spec *prog.Spec) {
 
 // benchTG replays a translated benchmark on the given kernel. The legacy
 // BenchmarkTable2*TG names pin the strict kernel so their Msimcycles/s stay
-// comparable with the recorded BENCH_*.json baselines; the *TGSkip variants
-// measure the idle-skipping kernel against them.
+// comparable with the recorded BENCH_*.json baselines; the *TGEvent variants
+// measure the event kernel, the TG-replay default, against them.
 func benchTG(b *testing.B, spec *prog.Spec, kernel platform.KernelMode) {
 	b.Helper()
 	ref, err := exp.RunReference(spec, exp.DefaultOptions(), true)
@@ -125,8 +125,8 @@ func BenchmarkTable2SPMatrixARM(b *testing.B) { benchARM(b, prog.SPMatrix(benchS
 func BenchmarkTable2SPMatrixTG(b *testing.B) {
 	benchTG(b, prog.SPMatrix(benchSPMatrixN), platform.KernelStrict)
 }
-func BenchmarkTable2SPMatrixTGSkip(b *testing.B) {
-	benchTG(b, prog.SPMatrix(benchSPMatrixN), platform.KernelSkip)
+func BenchmarkTable2SPMatrixTGEvent(b *testing.B) {
+	benchTG(b, prog.SPMatrix(benchSPMatrixN), platform.KernelEvent)
 }
 
 func BenchmarkTable2CacheloopARM(b *testing.B) {
@@ -143,10 +143,10 @@ func BenchmarkTable2CacheloopTG(b *testing.B) {
 	}
 }
 
-func BenchmarkTable2CacheloopTGSkip(b *testing.B) {
+func BenchmarkTable2CacheloopTGEvent(b *testing.B) {
 	for _, p := range []int{2, 4, 8, 12} {
 		b.Run(coresName(p), func(b *testing.B) {
-			benchTG(b, prog.Cacheloop(p, benchCacheIters), platform.KernelSkip)
+			benchTG(b, prog.Cacheloop(p, benchCacheIters), platform.KernelEvent)
 		})
 	}
 }
@@ -165,10 +165,10 @@ func BenchmarkTable2MPMatrixTG(b *testing.B) {
 	}
 }
 
-func BenchmarkTable2MPMatrixTGSkip(b *testing.B) {
+func BenchmarkTable2MPMatrixTGEvent(b *testing.B) {
 	for _, p := range []int{2, 4, 8, 12} {
 		b.Run(coresName(p), func(b *testing.B) {
-			benchTG(b, prog.MPMatrix(p, benchMPMatrixN), platform.KernelSkip)
+			benchTG(b, prog.MPMatrix(p, benchMPMatrixN), platform.KernelEvent)
 		})
 	}
 }
@@ -187,10 +187,10 @@ func BenchmarkTable2DESTG(b *testing.B) {
 	}
 }
 
-func BenchmarkTable2DESTGSkip(b *testing.B) {
+func BenchmarkTable2DESTGEvent(b *testing.B) {
 	for _, p := range []int{3, 6, 12} {
 		b.Run(coresName(p), func(b *testing.B) {
-			benchTG(b, prog.DES(p, benchDESBlocks), platform.KernelSkip)
+			benchTG(b, prog.DES(p, benchDESBlocks), platform.KernelEvent)
 		})
 	}
 }
@@ -199,8 +199,8 @@ func coresName(p int) string { return fmt.Sprintf("%dP", p) }
 
 func BenchmarkPipelineARM(b *testing.B) { benchARM(b, prog.Pipeline(4, 16)) }
 func BenchmarkPipelineTG(b *testing.B)  { benchTG(b, prog.Pipeline(4, 16), platform.KernelStrict) }
-func BenchmarkPipelineTGSkip(b *testing.B) {
-	benchTG(b, prog.Pipeline(4, 16), platform.KernelSkip)
+func BenchmarkPipelineTGEvent(b *testing.B) {
+	benchTG(b, prog.Pipeline(4, 16), platform.KernelEvent)
 }
 
 // --- Figure 2(a): private-slave transaction pattern ---
@@ -344,12 +344,12 @@ func BenchmarkCrossInterconnectTGOnXPipes(b *testing.B) {
 	benchTGOnFabric(b, platform.XPipes, platform.KernelStrict)
 }
 
-func BenchmarkCrossInterconnectTGOnAMBASkip(b *testing.B) {
-	benchTGOnFabric(b, platform.AMBA, platform.KernelSkip)
+func BenchmarkCrossInterconnectTGOnAMBAEvent(b *testing.B) {
+	benchTGOnFabric(b, platform.AMBA, platform.KernelEvent)
 }
 
-func BenchmarkCrossInterconnectTGOnXPipesSkip(b *testing.B) {
-	benchTGOnFabric(b, platform.XPipes, platform.KernelSkip)
+func BenchmarkCrossInterconnectTGOnXPipesEvent(b *testing.B) {
+	benchTGOnFabric(b, platform.XPipes, platform.KernelEvent)
 }
 
 func benchTGOnFabric(b *testing.B, ic platform.Interconnect, kernel platform.KernelMode) {
@@ -594,7 +594,7 @@ func BenchmarkPhasedMeasure(b *testing.B) {
 		Seed:          1,
 		Measure:       &sweep.Measure{WarmupCycles: 500, EpochCycles: 1000, Epochs: 4},
 	}
-	for _, kernel := range []platform.KernelMode{platform.KernelStrict, platform.KernelSkip, platform.KernelEvent} {
+	for _, kernel := range []platform.KernelMode{platform.KernelStrict, platform.KernelEvent} {
 		b.Run(kernel.String(), func(b *testing.B) {
 			var cycles uint64
 			b.ReportAllocs()
@@ -634,12 +634,12 @@ func BenchmarkEngineTick(b *testing.B) {
 	}
 }
 
-// BenchmarkEngineSkipIdle measures the skip kernel against strict ticking
-// on the workload it targets: TGs sleeping through deep Idle gaps over a
-// quiescent bus. The strict/skip Msimcycles/s ratio is the kernel speedup.
+// BenchmarkEngineSkipIdle measures idle-span skipping against strict
+// ticking on pure sleep: TGs sleeping through deep Idle gaps over a
+// quiescent bus. The event/strict Msimcycles/s ratio is the kernel speedup.
 func BenchmarkEngineSkipIdle(b *testing.B) {
 	src := "MASTER[0,0]\nBEGIN\nstart:\nIdle(100000)\nJump(start)\nIdle(100000)\nHalt\nEND"
-	for _, kernel := range []sim.Kernel{sim.KernelStrict, sim.KernelSkip, sim.KernelEvent} {
+	for _, kernel := range []sim.Kernel{sim.KernelStrict, sim.KernelEvent} {
 		b.Run(kernel.String(), func(b *testing.B) {
 			const span = 1_000_000 // simulated cycles per iteration
 			b.ReportAllocs()
@@ -774,9 +774,9 @@ END`
 // mixedLoadBusyBurst saturates the bus with 8-beat bursts instead: each
 // transfer occupies the bus beyond the nap threshold, so the blocked master
 // and the bus both sleep through the occupancy on their reported horizons.
-// Every kernel that honours Sleeper horizons collapses those spans — the
-// variant measures how much of the burst case skip recovers and how far
-// ahead event stays.
+// Both kernels' devices report those horizons, but only the event kernel
+// acts on them — the variant measures its lead when most cycles are
+// transfer occupancy.
 const mixedLoadBusyBurst = `MASTER[0,0]
 REGISTER addr 0x08000000
 REGISTER data 42
@@ -789,9 +789,9 @@ END`
 
 // mixedLoadSystem builds the event kernel's target workload: one saturated
 // TG hammering the shared memory plus idleMasters TGs sleeping in deep Idle
-// loops, all over one AMBA bus. Under strict and skip ticking the busy
-// master forces every device to be ticked every cycle; the event kernel
-// ticks only the busy master and the bus.
+// loops, all over one AMBA bus. Under strict ticking every device is
+// ticked every cycle; the event kernel ticks only the busy master and the
+// bus.
 func mixedLoadSystem(tb testing.TB, kernel platform.KernelMode, busy string, idleMasters int) *platform.System {
 	tb.Helper()
 	idle := "MASTER[0,0]\nBEGIN\nstart:\nIdle(100000)\nJump(start)\nEND"
@@ -868,13 +868,13 @@ func benchMixedLoad(b *testing.B, sys *platform.System, span uint64) {
 
 // BenchmarkEngineEventMixedLoad is the event kernel's headline benchmark:
 // 1 saturated + 15 idle masters on the AMBA bus, where whole-cycle skipping
-// is impossible and the strict/skip kernels pay for every idle master every
-// cycle. The event/skip Msimcycles/s ratio is the active-set speedup; it
-// grows with the idle fraction (see the IdleScaling variant).
+// is impossible and strict ticking pays for every idle master every cycle.
+// The event/strict Msimcycles/s ratio is the active-set speedup; it grows
+// with the idle fraction (see the IdleScaling variant).
 func BenchmarkEngineEventMixedLoad(b *testing.B) {
 	const span = 100_000
 	busy := mixedLoadBusy()
-	for _, kernel := range []platform.KernelMode{platform.KernelStrict, platform.KernelSkip, platform.KernelEvent} {
+	for _, kernel := range []platform.KernelMode{platform.KernelStrict, platform.KernelEvent} {
 		b.Run(kernel.String(), func(b *testing.B) {
 			benchMixedLoad(b, mixedLoadSystem(b, kernel, busy, 15), span)
 		})
@@ -887,7 +887,7 @@ func BenchmarkEngineEventMixedLoad(b *testing.B) {
 // the elided idle ticks over that shared floor.
 func BenchmarkEngineEventMixedLoadDense(b *testing.B) {
 	const span = 100_000
-	for _, kernel := range []platform.KernelMode{platform.KernelStrict, platform.KernelSkip, platform.KernelEvent} {
+	for _, kernel := range []platform.KernelMode{platform.KernelStrict, platform.KernelEvent} {
 		b.Run(kernel.String(), func(b *testing.B) {
 			benchMixedLoad(b, mixedLoadSystem(b, kernel, mixedLoadBusyDense, 15), span)
 		})
@@ -896,11 +896,11 @@ func BenchmarkEngineEventMixedLoadDense(b *testing.B) {
 
 // BenchmarkEngineEventMixedLoadBurst is the mix with burst traffic: the
 // blocked master and the bus sleep on their reported occupancy horizons
-// (ocp.WakeHinter), so the skip kernel recovers most of the gap by
-// whole-cycle jumping and the event kernel keeps only a modest lead.
+// (ocp.WakeHinter), so the event kernel jumps whole cycles for most of the
+// run.
 func BenchmarkEngineEventMixedLoadBurst(b *testing.B) {
 	const span = 100_000
-	for _, kernel := range []platform.KernelMode{platform.KernelStrict, platform.KernelSkip, platform.KernelEvent} {
+	for _, kernel := range []platform.KernelMode{platform.KernelStrict, platform.KernelEvent} {
 		b.Run(kernel.String(), func(b *testing.B) {
 			benchMixedLoad(b, mixedLoadSystem(b, kernel, mixedLoadBusyBurst, 15), span)
 		})
@@ -908,17 +908,14 @@ func BenchmarkEngineEventMixedLoadBurst(b *testing.B) {
 }
 
 // BenchmarkEngineEventIdleScaling sweeps the idle-master count: event-kernel
-// throughput should stay roughly flat while skip degrades linearly with the
-// device count.
+// throughput should stay roughly flat as the device count grows.
 func BenchmarkEngineEventIdleScaling(b *testing.B) {
 	const span = 100_000
 	busy := mixedLoadBusy()
 	for _, idle := range []int{3, 15, 63} {
-		for _, kernel := range []platform.KernelMode{platform.KernelSkip, platform.KernelEvent} {
-			b.Run(fmt.Sprintf("%didle/%s", idle, kernel), func(b *testing.B) {
-				benchMixedLoad(b, mixedLoadSystem(b, kernel, busy, idle), span)
-			})
-		}
+		b.Run(fmt.Sprintf("%didle/event", idle), func(b *testing.B) {
+			benchMixedLoad(b, mixedLoadSystem(b, platform.KernelEvent, busy, idle), span)
+		})
 	}
 }
 
@@ -931,7 +928,7 @@ func BenchmarkEngineEventIdleScaling(b *testing.B) {
 // gaps.
 func BenchmarkEngineEventHotspot(b *testing.B) {
 	const span = 20_000
-	for _, kernel := range []platform.KernelMode{platform.KernelStrict, platform.KernelSkip, platform.KernelEvent} {
+	for _, kernel := range []platform.KernelMode{platform.KernelStrict, platform.KernelEvent} {
 		b.Run(kernel.String(), func(b *testing.B) {
 			scfg := stochastic.Config{
 				MeanGap: 30_000,

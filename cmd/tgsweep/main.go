@@ -7,7 +7,7 @@
 // Usage:
 //
 //	tgsweep [-workers N] [-grid FILE|default] [-out BASE|-] [-maxcycles N]
-//	        [-kernel auto|strict|skip] [-shards N]
+//	        [-kernel auto|strict|event] [-shards N]
 //	        [-journal FILE [-resume]] [-retries N] [-retry-backoff D]
 //	        [-point-deadline D] [-cpuprofile FILE] [-memprofile FILE]
 //	tgsweep -scenario FILE|library # run declarative traffic scenarios
@@ -15,7 +15,8 @@
 //	tgsweep -validate [-scenario FILE|library] # generator fidelity report
 //	tgsweep -print-scenarios       # dump the scenario library as a template
 //	tgsweep -print-grid            # dump the default grid as a template
-//	tgsweep -paper [-sizes quick|default] [-workers N]
+//	tgsweep -paper [-sizes quick|default] [-workers N] [-kernel K] [-shards N]
+//	        [-guard] [-run-budget D] [-on-violation record|fail]
 //
 // With -scenario, the sweep points come from a declarative scenario file
 // (internal/scenario JSON: fabric, topology, logical core grid, spatial
@@ -42,14 +43,19 @@
 //
 // With -paper, the paper's full evaluation (Table 2, the cross-interconnect
 // .tgp check, the overhead measurement, the ablations and the Figure 2
-// experiments) runs as one parallel invocation instead of a grid sweep.
+// experiments) runs as one parallel invocation instead of a grid sweep and
+// prints its reports on stdout. -guard/-run-budget arm the watchdogs on
+// every platform; a violation aborts the evaluation with its diagnostics
+// and, under -on-violation fail, exit status 1. SIGINT/SIGTERM drain: the
+// running experiments finish, unstarted ones are skipped, and the process
+// exits nonzero.
 //
 // -kernel selects the simulation kernel for replay runs: "event" (the
-// default via "auto") ticks only the devices that are due each cycle,
-// "skip" fast-forwards only over cycles in which every device sleeps, and
-// "strict" ticks every device every cycle. All three produce byte-identical
-// artifacts; strict exists for cross-checking and for timing experiments
-// that must not benefit from kernel tricks.
+// default via "auto") ticks only the devices that are due each cycle and
+// jumps spans in which every device sleeps, and "strict" ticks every device
+// every cycle. Both produce byte-identical artifacts; strict is the
+// reference for cross-checking and for timing experiments that must not
+// benefit from kernel tricks. ARM reference runs always tick strictly.
 //
 // -shards N > 0 runs every ×pipes simulation sharded across N engine
 // goroutines (conservative time-window synchronisation, see internal/shard),
@@ -73,8 +79,7 @@
 // quarantined immediately as failed points. -point-deadline bounds each
 // attempt's wall clock through the guard run budget.
 //
-// -cpuprofile/-memprofile write
-// pprof profiles of the sweep (shared flag wiring with tgrepro via
+// -cpuprofile/-memprofile write pprof profiles of the sweep (flag wiring in
 // internal/prof) so performance work needs no code edits.
 package main
 
@@ -112,7 +117,7 @@ func main() {
 		paper      = flag.Bool("paper", false, "run the paper's experiments as one parallel invocation")
 		validate   = flag.Bool("validate", false, "run the generator-validation harness and write a fidelity report instead of sweeping")
 		sizesFlag  = flag.String("sizes", "default", "benchmark sizes for -paper: quick or default")
-		kernelFlag = flag.String("kernel", "auto", "simulation kernel: auto (event for replay), strict, skip or event")
+		kernelFlag = flag.String("kernel", "auto", "simulation kernel: auto (event for replay), strict or event")
 		shards     = flag.Int("shards", 0, "shard every ×pipes simulation across N engine goroutines (0 = legacy single engine)")
 		guardFlag  = flag.Bool("guard", false, "arm the guard watchdogs (deadlock horizon, conservation scans, barrier-stall bound) on every point")
 		runBudget  = flag.Duration("run-budget", 0, "wall-clock budget per point (implies -guard); an exceeded point fails with a run-budget violation")
@@ -160,11 +165,11 @@ func main() {
 		return
 	}
 	if *paper {
-		runPaper(*sizesFlag, *workers, kernel, *shards)
+		runPaper(*sizesFlag, *workers, kernel, *shards, gcfg, *onViol)
 		return
 	}
 	if *validate {
-		runValidate(*scenPath, *workers, *kernelFlag, *out)
+		runValidate(*scenPath, *workers, kernel, *out)
 		return
 	}
 
@@ -436,12 +441,13 @@ func runCurves(specs []scenario.Spec, mode string, workers int, maxCycles uint64
 	exitViolations(violated, onViol)
 }
 
-// runPaper executes the whole evaluation in parallel and prints the same
-// reports as the sequential tgrepro harness. The kernel selection applies
-// to TG-replay runs only; ARM reference runs always tick strictly. The
-// shard count likewise reaches only ×pipes TG-replay platforms (AMBA and
-// reference builds ignore it).
-func runPaper(sizesFlag string, workers int, kernel platform.KernelMode, shards int) {
+// runPaper executes the whole evaluation in parallel and prints its
+// reports. The kernel selection applies to TG-replay runs only; ARM
+// reference runs always tick strictly. The shard count likewise reaches
+// only ×pipes TG-replay platforms (AMBA and reference builds ignore it).
+// A guard violation aborts the evaluation: its diagnostics go to stderr
+// and onViol decides the exit status.
+func runPaper(sizesFlag string, workers int, kernel platform.KernelMode, shards int, gcfg *guard.Config, onViol string) {
 	sizes := exp.DefaultSizes()
 	if sizesFlag == "quick" {
 		sizes = exp.QuickSizes()
@@ -452,8 +458,26 @@ func runPaper(sizesFlag string, workers int, kernel platform.KernelMode, shards 
 	opt := exp.DefaultOptions()
 	opt.Platform.Kernel = kernel
 	opt.Platform.Shards = shards
+	if gcfg != nil {
+		opt.Guard = *gcfg
+	}
+	opt.Interrupted = drain.Arm("tgsweep")
 	start := time.Now()
 	res, err := sweep.RunPaper(sizes, opt, workers)
+	if errors.Is(err, sweep.ErrDrained) {
+		fmt.Fprintln(os.Stderr, "tgsweep: interrupted — unstarted experiments skipped; re-run to complete them")
+		os.Exit(1)
+	}
+	if v, ok := guard.AsViolation(err); ok {
+		fmt.Fprintln(os.Stderr, "tgsweep:", err)
+		if v.Diag != nil {
+			fmt.Fprintln(os.Stderr, v.Diag.Summary())
+		}
+		if onViol == "fail" {
+			os.Exit(1)
+		}
+		return
+	}
 	fail(err)
 	sweep.FormatPaper(os.Stdout, res, sweep.AllPaper())
 	fmt.Fprintf(os.Stderr, "tgsweep: paper evaluation in %v\n", time.Since(start).Round(time.Millisecond))

@@ -7,31 +7,22 @@ import (
 	"time"
 
 	"noctg/internal/journal"
+	"noctg/internal/platform"
 	"noctg/internal/scenario"
 	"noctg/internal/sim"
 	"noctg/internal/valid"
 )
 
-// validateKernel maps the -kernel flag onto a concrete simulation kernel
-// for open-loop validation runs. The fidelity report is byte-identical for
-// every choice (the harness pins all kernels to the same cycle schedule),
-// so "auto" simply takes the event kernel like replay runs do.
-func validateKernel(flag string) sim.Kernel {
-	switch flag {
-	case "strict":
-		return sim.KernelStrict
-	case "skip":
-		return sim.KernelSkip
-	}
-	return sim.KernelEvent
-}
-
 // runValidate executes the generator-validation harness: the stock
 // fidelity suite by default, or sources derived from a scenario file's
 // stochastic workloads with -scenario. The report lands in <out>.json (or
 // on stdout with "-"); any failed fidelity check exits nonzero.
-func runValidate(scenPath string, workers int, kernelFlag, out string) {
-	kernel := validateKernel(kernelFlag)
+//
+// The fidelity report is byte-identical for every kernel (the harness pins
+// all kernels to the same cycle schedule), so "auto" takes the event kernel
+// like replay runs do.
+func runValidate(scenPath string, workers int, mode platform.KernelMode, out string) {
+	kernel := mode.SimKernel(sim.KernelEvent)
 	sources := valid.StockSources()
 	if scenPath != "" {
 		specs := scenario.Library()

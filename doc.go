@@ -140,15 +140,15 @@
 //
 // # Simulation kernels
 //
-// Three cycle-advance strategies drive every platform
-// (PlatformConfig.Kernel, tgsweep/tgrepro -kernel): the strict kernel
-// ticks every device on every cycle; the idle-skipping kernel jumps the
-// cycle counter over spans in which every device has declared itself
-// asleep (a TG deep in an Idle, a drained interconnect); and the
-// event-driven kernel keeps a per-device wake schedule and each cycle
-// ticks only the devices that are due, so its per-cycle cost scales with
-// the awake set rather than the core count (one saturated master among
-// many idle ones no longer forces full-platform ticking). The contracts
+// Two cycle-advance strategies drive every platform
+// (PlatformConfig.Kernel, tgsweep -kernel): the strict kernel is the
+// reference and ticks every device on every cycle; the event-driven
+// kernel is the fast path. It keeps a per-device wake schedule and each
+// cycle ticks only the devices that are due, so its per-cycle cost scales
+// with the awake set rather than the core count (one saturated master
+// among many idle ones no longer forces full-platform ticking), and it
+// jumps the cycle counter over spans in which every device has declared
+// itself asleep (a TG deep in an Idle, a drained interconnect). The contracts
 // behind them: a Sleeper's NextWake is a strict "will not act before"
 // promise that holds even while the device is not being ticked; devices
 // stimulated from outside their own Tick (interconnects receiving
@@ -156,13 +156,12 @@
 // ports can bound a blocked master's next possible progress (ocp
 // WakeHinter), letting masters sleep through known transfer occupancy
 // instead of polling. Platform KernelAuto resolves to the event kernel
-// for TG and clone replay builders and to strict everywhere else; skip
-// remains selectable for cross-checking and as the simpler fallback, and
-// any platform containing a non-Sleeper device silently degrades to
-// strict ticking.
+// for TG and clone replay builders and to strict everywhere else, and any
+// platform containing a non-Sleeper device silently degrades to strict
+// ticking.
 //
-// All three produce identical simulated results — the differential tests
-// assert byte-identical sweep artifacts across the full kernel matrix.
+// Both produce identical simulated results — the differential tests
+// assert byte-identical sweep artifacts with strict as the reference.
 // ARM reference runs always tick strictly: the paper's reported ARM-vs-TG
 // speedup comes from the TG model doing less work per cycle, and
 // measuring the reference on a kernel that elides idle cycles would
@@ -170,7 +169,7 @@
 // Speedup-fidelity, in short: kernel tricks accelerate the reproduction,
 // but never the baseline the paper's claims are calibrated against.
 //
-// The three kernels pick which devices to tick; the sharded run mode
+// The kernels pick which devices to tick; the sharded run mode
 // (PlatformConfig.Shards, tgsweep -shards, internal/shard) additionally
 // picks where: the ×pipes fabric is partitioned into contiguous row
 // bands, each band's routers, masters and slaves advance on their own
@@ -180,7 +179,7 @@
 // rings at window boundaries with uncut-link timing, so any shard count —
 // including one — computes byte-identical artifacts under every kernel
 // (the CI shard-determinism matrix pins shards {1,2,4,8} × kernels
-// {strict,skip,event}). Sharded runs form their own determinism class
+// {strict,event}). Sharded runs form their own determinism class
 // versus the legacy single-engine path (Shards=0), which remains
 // byte-unchanged from before sharding existed.
 //
@@ -217,9 +216,9 @@
 //
 // Phase semantics interact with the kernels through one rule: boundaries
 // are forced wake points. Each phase window executes as its own bounded
-// kernel run, and the skip and event kernels clamp their cycle jumps at
-// window ends exactly as they clamp at cycle budgets — no jump ever
-// crosses a boundary, so strict, skip and event runs hit byte-identical
+// kernel run, and the event kernel clamps its cycle jumps at window ends
+// exactly as it clamps at cycle budgets — no jump ever crosses a
+// boundary, so strict and event runs hit byte-identical
 // boundary cycles and snapshot identical registry state there (asserted
 // by the phased differential tests). Lazily credited statistics (the
 // bus's bulk busy/idle and wait-cycle credits) register sync hooks so a

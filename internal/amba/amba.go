@@ -223,7 +223,7 @@ type Bus struct {
 	hasActive  bool
 	activeData []uint32
 
-	// lastTick supports the skip and event kernels' elided ticks: a gap
+	// lastTick supports the event kernel's elided ticks: a gap
 	// between consecutive Tick cycles is credited to the busy/idle counters
 	// in bulk (a cycle the bus was not ticked in is, by the Sleeper
 	// contract, one in which its occupancy state could not change).
@@ -321,7 +321,7 @@ func (b *Bus) IdleCycles() uint64 {
 }
 
 // pendingGap returns the busy/idle credit for cycles in which the bus was
-// not ticked (skip-kernel jumps, event-kernel sleeps) since its last Tick.
+// not ticked (event-kernel jumps and sleeps) since its last Tick.
 // Tick folds such gaps into the counters itself, but a run that ends inside
 // a gap is never followed by another Tick, so the getters account the tail
 // on the fly (the bus state was frozen across the gap, making the
@@ -455,7 +455,7 @@ func (b *Bus) decode(addr uint32) *binding {
 
 // Tick implements sim.Device.
 func (b *Bus) Tick(cycle uint64) {
-	// Credit elided cycles (skip-kernel jumps, event-kernel sleeps) to the
+	// Credit elided cycles (event-kernel jumps and sleeps) to the
 	// occupancy counters: a tick is only omitted while the bus state is
 	// frozen, so the whole gap was uniformly busy (posted-write drain) or
 	// uniformly idle.

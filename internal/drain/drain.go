@@ -16,7 +16,7 @@ import (
 
 // Arm installs the signal handler and returns the poll function to wire
 // into sweep.Runner.Interrupted / exp.Options.Interrupted. name prefixes
-// the stderr notice ("tgsweep", "tgrepro").
+// the stderr notice ("tgsweep").
 func Arm(name string) func() bool {
 	var interrupted atomic.Bool
 	ch := make(chan os.Signal, 1)

@@ -19,7 +19,7 @@ import (
 // The guard fault matrix: every watchdog is driven to fire by a seeded
 // guard.FaultPlan, on the single-engine Monitor path (shards=0) and on the
 // SPMD shard-runner path. CI sweeps the matrix via GUARD_KERNEL
-// (strict/skip/event) and GUARD_SHARDS (sharded point; default 2), so one
+// (strict/event) and GUARD_SHARDS (sharded point; default 2), so one
 // test body covers every kernel x partition combination.
 
 // sharedNode is where the shared RAM lands on the 4x4/4-core floorplan:

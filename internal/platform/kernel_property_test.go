@@ -19,7 +19,7 @@ import (
 // randomProgram emits a random but well-formed TGP program: bursts of
 // reads/writes to the shared memory, long and short Idle gaps, and a
 // semaphore-guarded critical section shared by all masters, so that the
-// skip kernel has to get both pure sleeping and reactive cross-core timing
+// event kernel has to get both pure sleeping and reactive cross-core timing
 // right.
 func randomProgram(r *rand.Rand, master, cores int) string {
 	var b strings.Builder
@@ -83,14 +83,14 @@ func fabricVariants() []struct {
 }
 
 // propertyKernels is the kernel matrix the equivalence properties run
-// over: the strict reference plus both tick-eliding kernels.
+// over: the strict reference plus the tick-eliding event kernel.
 func propertyKernels() []platform.KernelMode {
-	return []platform.KernelMode{platform.KernelStrict, platform.KernelSkip, platform.KernelEvent}
+	return []platform.KernelMode{platform.KernelStrict, platform.KernelEvent}
 }
 
 // TestKernelPropertyRandomPrograms is the property half of the equivalence
 // gate: for randomized TG programs on the bus, the mesh and the torus, the
-// strict, skip and event kernels must agree on every master's halt cycle,
+// strict and event kernels must agree on every master's halt cycle,
 // the makespan, and the final engine cycle count.
 func TestKernelPropertyRandomPrograms(t *testing.T) {
 	const trials = 25
@@ -223,6 +223,25 @@ func TestKernelPropertyRandomScenarios(t *testing.T) {
 				t.Fatalf("trial %d %s: latency histograms diverged:\nstrict: %+v\n%v: %+v",
 					trial, fv.name, histS, kernel, histK)
 			}
+		}
+	}
+}
+
+// TestParseKernel pins the -kernel flag vocabulary: every mode parses back
+// from its String, and anything else — the retired "skip" kernel included —
+// is rejected with the same named error.
+func TestParseKernel(t *testing.T) {
+	for _, k := range []platform.KernelMode{platform.KernelAuto, platform.KernelStrict, platform.KernelEvent} {
+		got, err := platform.ParseKernel(k.String())
+		if err != nil || got != k {
+			t.Fatalf("ParseKernel(%q) = %v, %v; want %v", k.String(), got, err, k)
+		}
+	}
+	for _, s := range []string{"skip", "warp"} {
+		_, err := platform.ParseKernel(s)
+		want := fmt.Sprintf("platform: unknown kernel %q (want auto, strict or event)", s)
+		if err == nil || err.Error() != want {
+			t.Fatalf("ParseKernel(%q) error = %v, want %q", s, err, want)
 		}
 	}
 }

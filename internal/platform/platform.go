@@ -59,14 +59,11 @@ const (
 	KernelAuto KernelMode = iota
 	// KernelStrict ticks every device on every cycle.
 	KernelStrict
-	// KernelSkip fast-forwards over cycles in which every device sleeps.
-	// The engine silently falls back to strict ticking when a registered
-	// device does not implement sim.Sleeper (e.g. miniARM cores).
-	KernelSkip
 	// KernelEvent ticks only the devices whose scheduled wake is due each
-	// cycle and jumps all-asleep spans like KernelSkip; per-cycle cost
-	// scales with the awake set, not the core count. Falls back to strict
-	// ticking under the same condition as KernelSkip.
+	// cycle and jumps spans in which every device sleeps; per-cycle cost
+	// scales with the awake set, not the core count. The engine silently
+	// falls back to strict ticking when a registered device does not
+	// implement sim.Sleeper (e.g. miniARM cores).
 	KernelEvent
 )
 
@@ -76,8 +73,6 @@ func (k KernelMode) String() string {
 		return "auto"
 	case KernelStrict:
 		return "strict"
-	case KernelSkip:
-		return "skip"
 	case KernelEvent:
 		return "event"
 	}
@@ -91,22 +86,18 @@ func ParseKernel(s string) (KernelMode, error) {
 		return KernelAuto, nil
 	case "strict":
 		return KernelStrict, nil
-	case "skip":
-		return KernelSkip, nil
 	case "event":
 		return KernelEvent, nil
 	}
-	return 0, fmt.Errorf("platform: unknown kernel %q (want auto, strict, skip or event)", s)
+	return 0, fmt.Errorf("platform: unknown kernel %q (want auto, strict or event)", s)
 }
 
-// kernel maps a KernelMode onto the engine's kernel, resolving KernelAuto
-// with the given default.
-func (k KernelMode) kernel(auto sim.Kernel) sim.Kernel {
+// SimKernel maps a KernelMode onto the engine's kernel, resolving
+// KernelAuto with the given default.
+func (k KernelMode) SimKernel(auto sim.Kernel) sim.Kernel {
 	switch k {
 	case KernelStrict:
 		return sim.KernelStrict
-	case KernelSkip:
-		return sim.KernelSkip
 	case KernelEvent:
 		return sim.KernelEvent
 	}
@@ -140,7 +131,7 @@ type Config struct {
 	Trace bool
 	// Kernel selects the simulation kernel. The default, KernelAuto,
 	// resolves to the event-driven kernel for TG-replay builders and
-	// strict otherwise; strict, skip and event runs produce identical
+	// strict otherwise; strict and event runs produce identical
 	// simulated state (the differential tests assert byte-identical sweep
 	// artifacts), differing only in host time.
 	Kernel KernelMode
@@ -204,7 +195,7 @@ func Build(cfg Config, factory MasterFactory) (*System, error) {
 		return nil, fmt.Errorf("platform: nil master factory")
 	}
 	e := sim.NewEngine(cfg.Clock)
-	e.SetKernel(cfg.Kernel.kernel(sim.KernelStrict))
+	e.SetKernel(cfg.Kernel.SimKernel(sim.KernelStrict))
 	s := &System{Engine: e, Cfg: cfg}
 
 	s.Shared = mem.NewRAM("shared", layout.SharedBase, layout.SharedSize, cfg.MemWaitStates)
@@ -292,7 +283,7 @@ func Build(cfg Config, factory MasterFactory) (*System, error) {
 			shardEngines = make([]*sim.Engine, len(regions))
 			for si := range regions {
 				se := sim.NewEngine(cfg.Clock)
-				se.SetKernel(cfg.Kernel.kernel(sim.KernelStrict))
+				se.SetKernel(cfg.Kernel.SimKernel(sim.KernelStrict))
 				shardEngines[si] = se
 			}
 		}
@@ -444,7 +435,7 @@ func (s *System) Run(maxCycles uint64) (uint64, error) {
 
 // RunPhased executes the warmup → measure → drain methodology on the
 // system, using the same completion predicate and detection stride as Run.
-// Phase boundaries are forced wake points, so the three kernels land on
+// Phase boundaries are forced wake points, so both kernels land on
 // byte-identical boundary cycles (see sim.Phases). Callers drive the
 // Stats registry from the phase callbacks: Sync + Reset at the warmup
 // boundary, Sync + Snapshot + Reset at each epoch end.

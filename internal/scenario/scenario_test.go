@@ -153,7 +153,7 @@ func TestLibraryCompiles(t *testing.T) {
 // TestLibraryKernelDifferential is the scenario half of the equivalence
 // gate: every library scenario — all six spatial patterns on mesh, torus
 // and the AMBA bus — must produce byte-identical sweep artifacts under the
-// strict and the idle-skipping kernel.
+// strict and the event kernel.
 func TestLibraryKernelDifferential(t *testing.T) {
 	pts, err := Points(Library())
 	if err != nil {
@@ -163,7 +163,7 @@ func TestLibraryKernelDifferential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	skip, err := sweep.Runner{Kernel: platform.KernelSkip}.Run(pts)
+	event, err := sweep.Runner{Kernel: platform.KernelEvent}.Run(pts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,20 +176,20 @@ func TestLibraryKernelDifferential(t *testing.T) {
 	if err := sweep.WriteJSON(&js, strict); err != nil {
 		t.Fatal(err)
 	}
-	if err := sweep.WriteJSON(&jk, skip); err != nil {
+	if err := sweep.WriteJSON(&jk, event); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(js.Bytes(), jk.Bytes()) {
-		t.Fatal("scenario JSON artifacts differ between strict and skip kernels")
+		t.Fatal("scenario JSON artifacts differ between strict and event kernels")
 	}
 	if err := sweep.WriteCSV(&cs, strict); err != nil {
 		t.Fatal(err)
 	}
-	if err := sweep.WriteCSV(&ck, skip); err != nil {
+	if err := sweep.WriteCSV(&ck, event); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(cs.Bytes(), ck.Bytes()) {
-		t.Fatal("scenario CSV artifacts differ between strict and skip kernels")
+		t.Fatal("scenario CSV artifacts differ between strict and event kernels")
 	}
 }
 

@@ -140,7 +140,7 @@ func TestRunnerWindowsSkipQuiescence(t *testing.T) {
 	a := newShard(na, sim.KernelEvent, 0)
 	b := newShard(nb, sim.KernelEvent, 0)
 	// Like the platform's predicate, done is a function of device state
-	// only (the skip/event contract): all scheduled work drained.
+	// only (the event-kernel contract): all scheduled work drained.
 	a.Done = func() bool { return len(na.wakes) == 0 }
 	b.Done = func() bool { return len(nb.wakes) == 0 }
 	r := New([]*Shard{a, b})

@@ -9,26 +9,19 @@
 // than the processor models they replace, and the strict kernel is what the
 // paper's reported ARM-vs-TG speedups are measured on.
 //
-// An opt-in idle-skipping kernel (KernelSkip) accelerates pure TG-replay
-// runs: when every registered device implements Sleeper and reports a future
-// wake cycle — a TG deep inside an Idle(100000), a quiescent interconnect —
-// the engine advances the cycle counter straight to the earliest wake cycle
-// instead of spinning through no-op ticks. Skipping never changes simulated
-// state: a cycle is skipped only when no device could have done work in it,
-// so makespans, histograms and per-device counters are identical to a strict
+// The event-driven kernel (KernelEvent, event.go) is the fast path: it
+// keeps a per-device wake schedule and ticks only the devices that are due
+// each cycle, and when every device sleeps — a TG deep inside an
+// Idle(100000), a quiescent interconnect — it advances the cycle counter
+// straight to the earliest wake instead of spinning through no-op ticks.
+// Its per-cycle cost scales with the number of awake devices, not the
+// device count. Eliding a tick never changes simulated state: a device's
+// tick is omitted only when the device promised it would be a no-op, so
+// makespans, histograms and per-device counters are identical to a strict
 // run (the sweep differential tests assert byte-identical artifacts). ARM
 // reference runs stay on the strict kernel so the paper's speedup numbers
 // are not inflated by kernel tricks; see the package README's Performance
 // section for the fidelity argument.
-//
-// The event-driven kernel (KernelEvent, event.go) goes one step further:
-// instead of requiring every device to sleep before any cycle can be
-// elided, it keeps a per-device wake schedule and ticks only the devices
-// that are due each cycle. Its per-cycle cost scales with the number of
-// awake devices, not the device count, so one saturated master among many
-// idle ones no longer drags the whole platform back to strict-ticking
-// speed. The all-asleep case degenerates to exactly the skip kernel's
-// cycle jump.
 package sim
 
 import (
@@ -38,9 +31,9 @@ import (
 
 // Device is anything driven by the simulation clock. Tick is called exactly
 // once per executed cycle, in the order devices were registered. Under the
-// skip kernel, cycles in which every device slept are not executed at all;
-// the cycle argument always carries the absolute cycle number, so devices
-// that keep deadlines in absolute cycles observe no difference.
+// event kernel, a sleeping device is not ticked at all until its wake; the
+// cycle argument always carries the absolute cycle number, so devices that
+// keep deadlines in absolute cycles observe no difference.
 type Device interface {
 	Tick(cycle uint64)
 }
@@ -62,8 +55,8 @@ type Named interface {
 const WakeNever = ^uint64(0)
 
 // Sleeper is optionally implemented by devices that can declare future
-// idleness to the skip and event kernels. NextWake(now) returns the
-// earliest cycle at which the device might change state or perform work:
+// idleness to the event kernel. NextWake(now) returns the earliest cycle at
+// which the device might change state or perform work:
 //
 //   - now:        the device needs its Tick at cycle now (it is active);
 //   - w > now:    the device will not act before cycle w — its Ticks are
@@ -74,17 +67,15 @@ const WakeNever = ^uint64(0)
 // The contract is strict, not advisory: a reported wake of w is a promise
 // that holds even if the device is never ticked and never re-queried
 // during [now, w) — the event kernel removes sleeping devices from the
-// tick loop altogether, and the skip kernel memoizes reported wakes. A
-// device whose earliest action can move earlier because of external input
-// (an interconnect receiving a TryRequest from a master) must therefore
-// implement WakeSink and call its Waker when that input arrives; purely
-// self-timed devices (absolute idle deadlines, recorded schedules) need
-// nothing extra.
+// tick loop altogether. A device whose earliest action can move earlier
+// because of external input (an interconnect receiving a TryRequest from a
+// master) must therefore implement WakeSink and call its Waker when that
+// input arrives; purely self-timed devices (absolute idle deadlines,
+// recorded schedules) need nothing extra.
 //
 // The contract is also conservative: a device that cannot cheaply bound
 // its next activity must return now. One conservative device merely keeps
-// itself in the per-cycle tick set (event kernel) or disables whole-cycle
-// skipping (skip kernel) without affecting correctness.
+// itself in the per-cycle tick set without affecting correctness.
 type Sleeper interface {
 	NextWake(now uint64) uint64
 }
@@ -96,13 +87,9 @@ const (
 	// KernelStrict ticks every device on every cycle (the default, and the
 	// reference semantics the paper's speedups are reported against).
 	KernelStrict Kernel = iota
-	// KernelSkip fast-forwards over cycles in which every device sleeps.
-	// It requires every registered device to implement Sleeper; if any does
-	// not, the engine silently degrades to strict ticking.
-	KernelSkip
 	// KernelEvent ticks only devices whose scheduled wake is due, using a
-	// per-device wake schedule (see event.go); when every device sleeps it
-	// jumps the cycle counter like KernelSkip. It requires every registered
+	// per-device wake schedule (see event.go), and jumps the cycle counter
+	// over spans in which every device sleeps. It requires every registered
 	// device to implement Sleeper; if any does not, the engine silently
 	// degrades to strict ticking.
 	KernelEvent
@@ -112,8 +99,6 @@ func (k Kernel) String() string {
 	switch k {
 	case KernelStrict:
 		return "strict"
-	case KernelSkip:
-		return "skip"
 	case KernelEvent:
 		return "event"
 	}
@@ -133,20 +118,10 @@ type Engine struct {
 	kernel  Kernel
 
 	// sleepers mirrors devices; it is non-nil only while every registered
-	// device implements Sleeper (the precondition for skipping).
+	// device implements Sleeper (the precondition for the event kernel).
 	sleepers []Sleeper
-	// blocker is the index of the sleeper that most recently refused to
-	// sleep. Scans start there: an active device tends to stay active, so
-	// contended phases cost one NextWake call per cycle instead of a full
-	// scan.
-	blocker int
-	// wakeMemo caches, per sleeper, the last reported wake cycle. While the
-	// cached value is in the future the skip kernel's nextWake scan trusts
-	// it instead of re-querying the device; wakeDevice (the WakeSink hook)
-	// invalidates the entry when external input arrives early.
-	wakeMemo []uint64
-	// SkippedCycles counts cycles the skip and event kernels fast-forwarded
-	// over (diagnostics only; strict runs keep it at zero).
+	// SkippedCycles counts cycles the event kernel fast-forwarded over
+	// (diagnostics only; strict runs keep it at zero).
 	SkippedCycles uint64
 
 	// Event-kernel schedule (event.go): evActive is the sorted list of
@@ -209,7 +184,8 @@ func (e *Engine) Add(d Device) {
 		if s, ok := d.(Sleeper); ok {
 			e.sleepers = append(e.sleepers, s)
 		} else {
-			// One non-Sleeper device disables skipping for the whole engine.
+			// One non-Sleeper device disables the event kernel for the
+			// whole engine.
 			e.sleepers = nil
 		}
 	}
@@ -222,11 +198,6 @@ func (e *Engine) Add(d Device) {
 
 // Devices returns the number of registered devices.
 func (e *Engine) Devices() int { return len(e.devices) }
-
-// CanSkip reports whether every registered device implements Sleeper, i.e.
-// whether the skip and event kernels can actually elide ticks on this
-// engine (both degrade to strict ticking otherwise).
-func (e *Engine) CanSkip() bool { return e.sleepers != nil }
 
 // Cycle returns the current cycle number, i.e. the number of completed
 // (executed or skipped) cycles since construction.
@@ -249,66 +220,15 @@ func (e *Engine) Step() {
 	e.cycle++
 }
 
-// nextWake returns the earliest cycle at which any device might act, asking
-// every Sleeper with now = e.cycle (the next cycle to execute). The scan
-// rotates, starting from the last blocking device, and exits at the first
-// device that needs a tick now. Sleepers whose previously reported wake is
-// still in the future are not re-queried: the Sleeper contract makes the
-// cached value binding until then, and wakeDevice invalidates the memo when
-// external input arrives early. The caller guarantees e.sleepers and
-// e.wakeMemo are non-nil and sized alike.
-func (e *Engine) nextWake() uint64 {
-	now := e.cycle
-	sl := e.sleepers
-	memo := e.wakeMemo
-	n := len(sl)
-	if e.blocker >= n {
-		e.blocker = 0
-	}
-	w := WakeNever
-	for k := 0; k < n; k++ {
-		i := e.blocker + k
-		if i >= n {
-			i -= n
-		}
-		nw := memo[i]
-		if nw <= now {
-			nw = sl[i].NextWake(now)
-			memo[i] = nw
-		}
-		if nw <= now {
-			e.blocker = i
-			return now
-		}
-		if nw < w {
-			w = nw
-		}
-	}
-	return w
-}
-
-// resetWakeMemo sizes and clears the skip kernel's per-sleeper wake cache
-// (stale entries could date from before direct device manipulation between
-// runs, which bypasses the WakeSink hooks).
-func (e *Engine) resetWakeMemo() {
-	n := len(e.sleepers)
-	if cap(e.wakeMemo) < n {
-		e.wakeMemo = make([]uint64, n)
-		return
-	}
-	e.wakeMemo = e.wakeMemo[:n]
-	clear(e.wakeMemo)
-}
-
 // Run steps the simulation until done() reports true (checked after each
 // cycle) or maxCycles cycles have elapsed, whichever comes first. It returns
 // the number of cycles executed by this call. If the limit is hit first the
 // returned error wraps ErrMaxCycles.
 //
-// Under the skip kernel, done() must depend only on device state (not on the
-// raw cycle counter): skipped cycles are exactly those in which no device
-// state changes, so the predicate is evaluated only at cycles where its
-// value could differ from the previous evaluation.
+// Under the event kernel, done() must depend only on device state (not on
+// the raw cycle counter): skipped cycles are exactly those in which no
+// device state changes, so the predicate is evaluated only at cycles where
+// its value could differ from the previous evaluation.
 func (e *Engine) Run(maxCycles uint64, done func() bool) (uint64, error) {
 	return e.run(maxCycles, 1, done)
 }
@@ -341,20 +261,15 @@ func (e *Engine) RunEvery(maxCycles, stride uint64, done func() bool) (uint64, e
 // cycle. All loop state (start, end, the done closure's captures) is hoisted
 // out of the per-cycle path, and the body allocates nothing in steady state.
 //
-// The three kernels share this loop. Strict executes every cycle with a
-// full-device Step. Skip does the same but fast-forwards over all-asleep
-// spans. Event replaces Step with stepEvent (ticking only due devices) and
-// reads the next wake straight off the schedule's heap top; its jump logic
-// is the skip kernel's, so the all-asleep case is byte-for-byte the same.
+// Both kernels share this loop. Strict executes every cycle with a
+// full-device Step. Event replaces Step with stepEvent (ticking only due
+// devices), reads the next wake straight off the schedule's heap top, and
+// fast-forwards over all-asleep spans.
 func (e *Engine) run(maxCycles, stride uint64, done func() bool) (uint64, error) {
 	if done == nil {
 		return 0, errors.New("sim: Run requires a completion predicate")
 	}
 	event := e.kernel == KernelEvent && e.sleepers != nil
-	skip := event || (e.kernel == KernelSkip && e.sleepers != nil)
-	if skip && !event {
-		e.resetWakeMemo()
-	}
 	if event {
 		e.initEventSchedule()
 		e.evLive = true
@@ -364,8 +279,7 @@ func (e *Engine) run(maxCycles, stride uint64, done func() bool) (uint64, error)
 	end := start + maxCycles
 	checked := false // whether done() was evaluated at the current cycle
 	// untilCheck counts down to the next stride boundary, replacing a
-	// per-cycle modulo; skip/event jumps recompute it from the landing
-	// cycle.
+	// per-cycle modulo; event jumps recompute it from the landing cycle.
 	untilCheck := stride
 	for e.cycle < end {
 		if event {
@@ -386,15 +300,10 @@ func (e *Engine) run(maxCycles, stride uint64, done func() bool) (uint64, error)
 				}
 			}
 		}
-		if !skip {
+		if !event {
 			continue
 		}
-		var w uint64
-		if event {
-			w = e.eventNextWake()
-		} else {
-			w = e.nextWake()
-		}
+		w := e.eventNextWake()
 		if w <= e.cycle {
 			continue
 		}

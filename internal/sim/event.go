@@ -9,9 +9,8 @@ package sim
 // work at all, and one that goes back to sleep moves to the heap. The
 // per-cycle cost therefore scales with the number of awake devices — a
 // steady active set touches the heap zero times per cycle — and when the
-// active list empties, run's shared jump logic advances the cycle counter
-// straight to the heap's earliest wake, which is exactly the skip kernel's
-// all-asleep fast-forward.
+// active list empties, run's jump logic advances the cycle counter straight
+// to the heap's earliest wake.
 //
 // Correctness leans on two properties. First, the Sleeper contract (see
 // engine.go) makes a reported wake w a promise that every omitted Tick in
@@ -31,8 +30,8 @@ package sim
 // can never diverge from strict semantics.
 
 // Waker is the engine-provided wake handle for one registered device. Wake
-// never blocks and never allocates; outside an event-kernel run it only
-// invalidates the skip kernel's wake memo (a no-op under strict ticking).
+// never blocks and never allocates; outside an event-kernel run it is a
+// no-op.
 type Waker interface {
 	Wake()
 }
@@ -71,13 +70,9 @@ func (w *engineWaker) Wake() { w.e.wakeDevice(w.idx) }
 // sleep heap.
 const notInHeap = int32(-1)
 
-// wakeDevice handles an external-stimulus wake for device idx: it drops the
-// skip kernel's memoized wake (forcing a re-query) and, inside an event
-// run, moves a sleeping device back to the active list.
+// wakeDevice handles an external-stimulus wake for device idx: inside an
+// event run, it moves a sleeping device back to the active list.
 func (e *Engine) wakeDevice(idx int32) {
-	if int(idx) < len(e.wakeMemo) {
-		e.wakeMemo[idx] = 0
-	}
 	if !e.evLive || e.evPos[idx] == notInHeap {
 		return
 	}

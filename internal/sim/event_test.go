@@ -5,6 +5,38 @@ import (
 	"testing"
 )
 
+// pulser is a Sleeper test device that does work only at scheduled cycles.
+type pulser struct {
+	times []uint64
+	i     int
+	work  int
+	ticks int
+}
+
+func (p *pulser) Tick(c uint64) {
+	p.ticks++
+	if p.i < len(p.times) && c == p.times[p.i] {
+		p.work++
+		p.i++
+	}
+}
+
+func (p *pulser) NextWake(now uint64) uint64 {
+	if p.i >= len(p.times) {
+		return WakeNever
+	}
+	if t := p.times[p.i]; t > now {
+		return t
+	}
+	return now
+}
+
+func (p *pulser) done() bool { return p.i >= len(p.times) }
+
+// bothKernels is the kernel matrix of the run-loop tests: strict is the
+// reference every event-kernel result is compared against.
+var bothKernels = []Kernel{KernelStrict, KernelEvent}
+
 // wakeSink is a WakeSink test device: it sleeps (WakeNever) until another
 // device stimulates it, then runs for `runTicks` ticks, performs one unit
 // of work on the last of them, and goes back to sleep.
@@ -106,10 +138,9 @@ func TestEventKernelEquivalence(t *testing.T) {
 }
 
 func TestEventKernelTicksOnlyAwakeDevices(t *testing.T) {
-	// One dense device keeps the engine executing every cycle; the sparse
-	// device must still be ticked only at its own schedule. The skip kernel
-	// cannot elide these ticks (the dense device blocks every whole-cycle
-	// skip), which is exactly the mixed-load gap the event kernel closes.
+	// One dense device keeps the engine executing every cycle (no
+	// whole-cycle jump is possible); the sparse device must still be ticked
+	// only at its own schedule.
 	dense := make([]uint64, 1000)
 	for i := range dense {
 		dense[i] = uint64(i)
@@ -247,8 +278,8 @@ func TestEventKernelDegradesToStrict(t *testing.T) {
 
 func TestEventKernelLimitAndWakeNever(t *testing.T) {
 	// Budget exhaustion and the frozen-forever case must land on exactly
-	// the strict kernel's final cycle, for every kernel.
-	for _, kernel := range []Kernel{KernelStrict, KernelSkip, KernelEvent} {
+	// the strict kernel's final cycle.
+	for _, kernel := range bothKernels {
 		e := NewEngine(Clock{})
 		p := &pulser{times: []uint64{2}}
 		e.Add(p)
@@ -263,10 +294,30 @@ func TestEventKernelLimitAndWakeNever(t *testing.T) {
 	}
 }
 
+func TestEventKernelFiniteWakeBeyondBudget(t *testing.T) {
+	// Next wake beyond the budget: the run must fail at the budget, not at
+	// the wake cycle.
+	for _, kernel := range bothKernels {
+		e := NewEngine(Clock{})
+		p := &pulser{times: []uint64{0, 10_000}}
+		e.Add(p)
+		e.SetKernel(kernel)
+		ran, err := e.Run(100, p.done)
+		if !errors.Is(err, ErrMaxCycles) {
+			t.Fatalf("kernel %v: err = %v", kernel, err)
+		}
+		if ran != 100 || e.Cycle() != 100 || p.work != 1 {
+			t.Fatalf("kernel %v: ran %d, cycle %d, work %d, want 100, 100, 1", kernel, ran, e.Cycle(), p.work)
+		}
+	}
+}
+
 func TestEventKernelStrideDetectionRounding(t *testing.T) {
-	// Work completes at cycle 9; stride 8 → detection at relative cycle 16
-	// on every kernel (see TestSkipKernelStrideDetectionRounding).
-	for _, kernel := range []Kernel{KernelStrict, KernelSkip, KernelEvent} {
+	// Work completes at cycle 9 (detected state after the tick at cycle 9,
+	// i.e. engine cycle 10); stride 8 → strict detects at relative cycle 16.
+	// The event kernel jumps over the idle cycles on both sides of the work
+	// and must report the identical detection cycle.
+	for _, kernel := range bothKernels {
 		e := NewEngine(Clock{})
 		p := &pulser{times: []uint64{9}}
 		e.Add(p)
@@ -277,28 +328,6 @@ func TestEventKernelStrideDetectionRounding(t *testing.T) {
 		}
 		if ran != 16 {
 			t.Fatalf("kernel %v: detected after %d cycles, want 16", kernel, ran)
-		}
-	}
-}
-
-func TestSkipKernelWakeMemoInvalidation(t *testing.T) {
-	// The skip kernel memoizes reported wakes, so a sleeping WakeSink that
-	// is stimulated mid-run must have its memo dropped: without the
-	// invalidation the engine would trust the stale WakeNever, jump to the
-	// budget and never run the sink's pending work.
-	for _, kernel := range []Kernel{KernelStrict, KernelSkip, KernelEvent} {
-		e := NewEngine(Clock{})
-		sink := &wakeSink{runTicks: runTicks{n: 3}}
-		stim := &stimulator{times: []uint64{50}, sink: sink}
-		e.Add(stim)
-		e.Add(sink)
-		e.SetKernel(kernel)
-		ran, err := e.Run(10_000, func() bool { return sink.work > 0 })
-		if err != nil {
-			t.Fatalf("kernel %v: %v", kernel, err)
-		}
-		if sink.work != 1 || ran != 53 {
-			t.Fatalf("kernel %v: work %d after %d cycles, want 1 after 53", kernel, sink.work, ran)
 		}
 	}
 }

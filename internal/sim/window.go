@@ -1,8 +1,7 @@
 package sim
 
 // WindowedRun drives an engine in bounded windows while keeping the
-// kernel's acceleration state (the event schedule, the skip kernel's wake
-// memo) alive across window boundaries. The shard runner uses it to
+// event kernel's wake schedule alive across window boundaries. The shard runner uses it to
 // advance each shard's engine to a synchronization target many thousands
 // of times per run; rebuilding the event schedule per window — as the
 // Run/RunPhased entry points do per call — would cost O(devices) per
@@ -15,19 +14,14 @@ package sim
 type WindowedRun struct {
 	e     *Engine
 	event bool
-	skip  bool
 }
 
 // BeginWindowed opens a windowed session on the engine's selected kernel.
-// Like Run, the skip and event kernels require every device to implement
-// Sleeper and degrade to strict ticking otherwise.
+// Like Run, the event kernel requires every device to implement Sleeper and
+// degrades to strict ticking otherwise.
 func (e *Engine) BeginWindowed() *WindowedRun {
 	w := &WindowedRun{e: e}
 	w.event = e.kernel == KernelEvent && e.sleepers != nil
-	w.skip = w.event || (e.kernel == KernelSkip && e.sleepers != nil)
-	if w.skip && !w.event {
-		e.resetWakeMemo()
-	}
 	if w.event {
 		e.initEventSchedule()
 		e.evLive = true
@@ -44,8 +38,8 @@ func (w *WindowedRun) Close() {
 }
 
 // RunTo advances the engine to exactly the target cycle — a forced
-// boundary, like a RunPhased window edge. The skip and event kernels jump
-// all-asleep spans but clamp the jump at the target, so the engine always
+// boundary, like a RunPhased window edge. The event kernel jumps all-asleep
+// spans but clamps the jump at the target, so the engine always
 // lands on it; the strict kernel executes every cycle (each one a no-op
 // when all devices sleep, by the Sleeper contract).
 func (w *WindowedRun) RunTo(target uint64) {
@@ -56,15 +50,10 @@ func (w *WindowedRun) RunTo(target uint64) {
 		} else {
 			e.Step()
 		}
-		if !w.skip || e.cycle >= target {
+		if !w.event || e.cycle >= target {
 			continue
 		}
-		var nw uint64
-		if w.event {
-			nw = e.eventNextWake()
-		} else {
-			nw = e.nextWake()
-		}
+		nw := e.eventNextWake()
 		if nw <= e.cycle {
 			continue
 		}
@@ -84,9 +73,6 @@ func (w *WindowedRun) NextWake() uint64 {
 	e := w.e
 	if w.event {
 		return e.eventNextWake()
-	}
-	if w.skip {
-		return e.nextWake()
 	}
 	return e.cycle
 }

@@ -16,7 +16,7 @@ func TestWindowedRunMatchesStrictReference(t *testing.T) {
 	ref.Add(rp)
 	ref.RunFor(end)
 
-	for _, kernel := range []Kernel{KernelStrict, KernelSkip, KernelEvent} {
+	for _, kernel := range bothKernels {
 		for _, window := range []uint64{1, 7, 64, 4096} {
 			e := NewEngine(Clock{})
 			p := &pulser{times: times}
@@ -45,22 +45,21 @@ func TestWindowedRunMatchesStrictReference(t *testing.T) {
 }
 
 // TestWindowedNextWakeHorizon checks the horizon query: the strict kernel
-// reports now (it cannot bound activity), the skip and event kernels
-// report the earliest pending pulse, and a drained engine reports
-// WakeNever.
+// reports now (it cannot bound activity), the event kernel reports the
+// earliest pending pulse, and a drained engine reports WakeNever.
 func TestWindowedNextWakeHorizon(t *testing.T) {
-	for _, kernel := range []Kernel{KernelSkip, KernelEvent} {
+	{
 		e := NewEngine(Clock{})
 		p := &pulser{times: []uint64{500}}
 		e.Add(p)
-		e.SetKernel(kernel)
+		e.SetKernel(KernelEvent)
 		w := e.BeginWindowed()
 		if got := w.NextWake(); got != 500 {
-			t.Fatalf("%v: horizon %d, want 500", kernel, got)
+			t.Fatalf("horizon %d, want 500", got)
 		}
 		w.RunTo(501)
 		if got := w.NextWake(); got != WakeNever {
-			t.Fatalf("%v: drained horizon %d, want WakeNever", kernel, got)
+			t.Fatalf("drained horizon %d, want WakeNever", got)
 		}
 		w.Close()
 	}
@@ -100,27 +99,25 @@ func (s *napSink) NextWake(now uint64) uint64 {
 // windows — the shard runner does exactly this after importing flits — and
 // checks the device runs in the next window under the event kernel.
 func TestWindowedWakeBetweenWindows(t *testing.T) {
-	for _, kernel := range []Kernel{KernelSkip, KernelEvent} {
-		e := NewEngine(Clock{})
-		s := &napSink{}
-		e.Add(s)
-		e.SetKernel(kernel)
-		w := e.BeginWindowed()
-		w.RunTo(10)
-		if got := w.NextWake(); got != WakeNever {
-			t.Fatalf("%v: horizon %d before stimulus", kernel, got)
-		}
-		s.pending = true
-		s.waker.Wake()
-		if got := w.NextWake(); got != 10 {
-			t.Fatalf("%v: horizon %d after stimulus, want 10", kernel, got)
-		}
-		w.RunTo(11)
-		if s.work != 1 {
-			t.Fatalf("%v: work %d after wake, want 1", kernel, s.work)
-		}
-		w.Close()
+	e := NewEngine(Clock{})
+	s := &napSink{}
+	e.Add(s)
+	e.SetKernel(KernelEvent)
+	w := e.BeginWindowed()
+	w.RunTo(10)
+	if got := w.NextWake(); got != WakeNever {
+		t.Fatalf("horizon %d before stimulus", got)
 	}
+	s.pending = true
+	s.waker.Wake()
+	if got := w.NextWake(); got != 10 {
+		t.Fatalf("horizon %d after stimulus, want 10", got)
+	}
+	w.RunTo(11)
+	if s.work != 1 {
+		t.Fatalf("work %d after wake, want 1", s.work)
+	}
+	w.Close()
 }
 
 // TestWindowedSkippedCyclesClamp verifies that an all-asleep jump clamps

@@ -140,7 +140,7 @@ type Generator struct {
 
 	issued int
 	// wakeAt is the absolute cycle at which the next transaction is built
-	// and presented; absolute deadlines let the skip kernel jump the whole
+	// and presented; absolute deadlines let the event kernel jump the whole
 	// inter-transaction gap.
 	wakeAt   uint64
 	burstPos int

@@ -184,7 +184,7 @@ func TestAdaptiveCurveContract(t *testing.T) {
 
 // TestAdaptiveCurveMatrixDeterminism extends the determinism matrix to
 // adaptive curves: byte-identical JSON and CSV artifacts across the
-// strict/skip/event kernels and worker counts. (Shard counts ride the
+// strict/event kernels and worker counts. (Shard counts ride the
 // same guarantee through the xpipes differential below.)
 func TestAdaptiveCurveMatrixDeterminism(t *testing.T) {
 	render := func(r Runner) ([]byte, []byte) {

@@ -73,8 +73,8 @@ func TestArrivalWorkloadLabels(t *testing.T) {
 
 // TestKernelDifferentialBursty pins the stock bursty/self-similar/priority
 // grid into the kernel-equivalence gate: every BurstyGrid point must
-// produce byte-identical JSON and CSV artifacts under the strict, skip and
-// event kernels.
+// produce byte-identical JSON and CSV artifacts under the strict and event
+// kernels.
 func TestKernelDifferentialBursty(t *testing.T) {
 	assertKernelDifferential(t, BurstyGrid().Expand())
 }

@@ -51,7 +51,7 @@ func TestGoldenCurve(t *testing.T) {
 
 // TestKernelDifferentialCurve extends the kernel-equivalence gate over the
 // curve runner: the same curve must serialise to byte-identical JSON and
-// CSV artifacts under the strict, skip and event kernels.
+// CSV artifacts under the strict and event kernels.
 func TestKernelDifferentialCurve(t *testing.T) {
 	marshal := func(kernel platform.KernelMode) ([]byte, []byte) {
 		t.Helper()

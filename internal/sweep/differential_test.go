@@ -10,10 +10,9 @@ import (
 )
 
 // diffKernels is the kernel matrix every differential gate runs: the strict
-// reference, the whole-cycle skip kernel, and the event-driven active-set
-// kernel.
+// reference and the event-driven active-set kernel.
 func diffKernels() []platform.KernelMode {
-	return []platform.KernelMode{platform.KernelStrict, platform.KernelSkip, platform.KernelEvent}
+	return []platform.KernelMode{platform.KernelStrict, platform.KernelEvent}
 }
 
 // assertKernelDifferential runs points under every kernel and asserts the
@@ -70,7 +69,7 @@ func assertKernelDifferential(t *testing.T, points []Point) {
 
 // TestKernelDifferentialGrid is the tentpole equivalence gate for the grid
 // sweep: every DefaultGrid point must produce an identical Result under the
-// strict, skip and event kernels, down to byte-identical JSON and CSV
+// strict and event kernels, down to byte-identical JSON and CSV
 // artifacts.
 func TestKernelDifferentialGrid(t *testing.T) {
 	assertKernelDifferential(t, DefaultGrid().Expand())
@@ -79,7 +78,7 @@ func TestKernelDifferentialGrid(t *testing.T) {
 // TestKernelDifferentialScenarios extends the equivalence gate over the
 // scenario space: every spatial pattern × fabric topology point of
 // ScenarioGrid must produce byte-identical JSON and CSV artifacts under
-// the strict, skip and event kernels.
+// the strict and event kernels.
 func TestKernelDifferentialScenarios(t *testing.T) {
 	assertKernelDifferential(t, ScenarioGrid().Expand())
 }
@@ -112,37 +111,37 @@ func TestKernelDifferentialPaper(t *testing.T) {
 
 // assertPaperEqual compares every simulated-state field of two full paper
 // evaluations.
-func assertPaperEqual(t *testing.T, strict, skip *PaperResults) {
+func assertPaperEqual(t *testing.T, strict, event *PaperResults) {
 	t.Helper()
-	if len(strict.Table2) != len(skip.Table2) {
-		t.Fatalf("table2 rows: strict %d, skip %d", len(strict.Table2), len(skip.Table2))
+	if len(strict.Table2) != len(event.Table2) {
+		t.Fatalf("table2 rows: strict %d, event %d", len(strict.Table2), len(event.Table2))
 	}
 	for i := range strict.Table2 {
-		s, k := strict.Table2[i], skip.Table2[i]
+		s, k := strict.Table2[i], event.Table2[i]
 		if s.Bench != k.Bench || s.Cores != k.Cores ||
 			s.CyclesARM != k.CyclesARM || s.CyclesTG != k.CyclesTG ||
 			s.ErrorPct != k.ErrorPct || s.TraceBytes != k.TraceBytes {
-			t.Fatalf("table2 row %d diverged:\nstrict: %+v\nskip:   %+v", i, s, k)
+			t.Fatalf("table2 row %d diverged:\nstrict: %+v\nevent:  %+v", i, s, k)
 		}
 	}
-	if !reflect.DeepEqual(strict.CrossChecks, skip.CrossChecks) {
-		t.Fatalf("cross-checks diverged:\nstrict: %+v\nskip:   %+v", strict.CrossChecks, skip.CrossChecks)
+	if !reflect.DeepEqual(strict.CrossChecks, event.CrossChecks) {
+		t.Fatalf("cross-checks diverged:\nstrict: %+v\nevent:  %+v", strict.CrossChecks, event.CrossChecks)
 	}
-	if strict.Overhead.TraceBytes != skip.Overhead.TraceBytes ||
-		strict.Overhead.Events != skip.Overhead.Events {
-		t.Fatalf("overhead diverged:\nstrict: %+v\nskip:   %+v", strict.Overhead, skip.Overhead)
+	if strict.Overhead.TraceBytes != event.Overhead.TraceBytes ||
+		strict.Overhead.Events != event.Overhead.Events {
+		t.Fatalf("overhead diverged:\nstrict: %+v\nevent:  %+v", strict.Overhead, event.Overhead)
 	}
-	if !reflect.DeepEqual(strict.Fidelity, skip.Fidelity) {
-		t.Fatalf("fidelity ablation diverged:\nstrict: %+v\nskip:   %+v", strict.Fidelity, skip.Fidelity)
+	if !reflect.DeepEqual(strict.Fidelity, event.Fidelity) {
+		t.Fatalf("fidelity ablation diverged:\nstrict: %+v\nevent:  %+v", strict.Fidelity, event.Fidelity)
 	}
-	if !reflect.DeepEqual(strict.Arbitration, skip.Arbitration) {
-		t.Fatalf("arbitration ablation diverged:\nstrict: %+v\nskip:   %+v", strict.Arbitration, skip.Arbitration)
+	if !reflect.DeepEqual(strict.Arbitration, event.Arbitration) {
+		t.Fatalf("arbitration ablation diverged:\nstrict: %+v\nevent:  %+v", strict.Arbitration, event.Arbitration)
 	}
-	if !reflect.DeepEqual(strict.Fig2a, skip.Fig2a) {
-		t.Fatalf("fig2a diverged:\nstrict: %+v\nskip:   %+v", strict.Fig2a, skip.Fig2a)
+	if !reflect.DeepEqual(strict.Fig2a, event.Fig2a) {
+		t.Fatalf("fig2a diverged:\nstrict: %+v\nevent:  %+v", strict.Fig2a, event.Fig2a)
 	}
-	if !reflect.DeepEqual(strict.Fig2b, skip.Fig2b) {
-		t.Fatalf("fig2b diverged:\nstrict: %+v\nskip:   %+v", strict.Fig2b, skip.Fig2b)
+	if !reflect.DeepEqual(strict.Fig2b, event.Fig2b) {
+		t.Fatalf("fig2b diverged:\nstrict: %+v\nevent:  %+v", strict.Fig2b, event.Fig2b)
 	}
 }
 

@@ -66,7 +66,7 @@ func clip(b []byte) []byte {
 // TestGoldenScenarioGrid locks the full spatial-pattern × topology scenario
 // sweep: every pattern on AMBA, mesh and torus, byte-identical to the
 // committed snapshot (and, via TestKernelDifferentialScenarios, identical
-// under all three kernels).
+// under both kernels).
 func TestGoldenScenarioGrid(t *testing.T) {
 	results, err := Runner{}.Run(ScenarioGrid().Expand())
 	if err != nil {

@@ -63,7 +63,7 @@ func randomPoint(rng *rand.Rand) Point {
 }
 
 // TestPhasedLegacyEquivalenceProperty is the compatibility property the
-// refactor hinges on: for randomized scenarios, under all three kernels, a
+// refactor hinges on: for randomized scenarios, under both kernels, a
 // phased run with warmup=0, epochs=1, drain=0 produces a Result — and a
 // serialised artifact — byte-identical to the legacy single-window run
 // (modulo the purely additive phases block).
@@ -106,8 +106,8 @@ func TestPhasedLegacyEquivalenceProperty(t *testing.T) {
 
 // TestPhasedKernelDifferential asserts the second half of the invariant:
 // a genuinely phased run (warmup, fixed epochs, drain) is byte-identical —
-// including every epoch's counter breakdown — across the strict, skip and
-// event kernels.
+// including every epoch's counter breakdown — across the strict and event
+// kernels.
 func TestPhasedKernelDifferential(t *testing.T) {
 	m := &Measure{WarmupCycles: 300, EpochCycles: 400, Epochs: 3, DrainCycles: 10_000}
 	var points []Point

@@ -144,8 +144,8 @@ func RunPaperSelect(sizes exp.Sizes, opt exp.Options, workers int, sel PaperSele
 	return res, nil
 }
 
-// crossCheckSpecs mirrors the benchmark set of the sequential harness
-// (cmd/tgrepro): one representative per multi-master workload family.
+// crossCheckSpecs is the cross-check benchmark set: one representative per
+// multi-master workload family.
 func crossCheckSpecs(sizes exp.Sizes) []*prog.Spec {
 	return []*prog.Spec{
 		prog.Cacheloop(2, sizes.CacheloopIters),

@@ -8,7 +8,7 @@
 // sources, and χ² message-class shares.
 //
 // Every check is deterministic: the capture device is registered before
-// the generator and stays permanently awake, so all three kernels execute
+// the generator and stays permanently awake, so both kernels execute
 // the generator on exactly the same cycles and the fidelity report is
 // byte-identical across kernels and worker counts (the report embeds
 // neither). The same property makes each check a plain seeded CI test

@@ -37,11 +37,8 @@ END`
 		return sys.Bus.BusyCycles(), sys.Bus.IdleCycles()
 	}
 	sb, si := run(platform.KernelStrict)
-	for _, kernel := range []platform.KernelMode{platform.KernelSkip, platform.KernelEvent} {
-		kb, ki := run(kernel)
-		if sb != kb || si != ki {
-			t.Fatalf("bus counters diverge: strict busy=%d idle=%d, %v busy=%d idle=%d", sb, si, kernel, kb, ki)
-		}
+	if kb, ki := run(platform.KernelEvent); sb != kb || si != ki {
+		t.Fatalf("bus counters diverge: strict busy=%d idle=%d, event busy=%d idle=%d", sb, si, kb, ki)
 	}
 	t.Logf("busy=%d idle=%d identical across kernels", sb, si)
 }
@@ -91,10 +88,7 @@ END`
 	if want[1] == 0 {
 		t.Fatal("waiter accumulated no wait cycles under strict; the scenario is miswired")
 	}
-	for _, kernel := range []platform.KernelMode{platform.KernelSkip, platform.KernelEvent} {
-		got := run(kernel)
-		if !reflect.DeepEqual(want, got) {
-			t.Fatalf("WaitCycles diverge on budget exhaust: strict %v, %v %v", want, kernel, got)
-		}
+	if got := run(platform.KernelEvent); !reflect.DeepEqual(want, got) {
+		t.Fatalf("WaitCycles diverge on budget exhaust: strict %v, event %v", want, got)
 	}
 }

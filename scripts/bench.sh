@@ -28,8 +28,8 @@ mkdir -p bench
 # normalization probe cannot cancel, so those variants live only in the
 # full dated runs. It needs its own invocation — a combined pattern's
 # /1shard element would also filter the other benchmarks' sub-benchmarks.
-# CrossInterconnectTGOnXPipes is the paper's TG replay on the ×pipes mesh;
-# the $ keeps its Skip-kernel twin out.
+# CrossInterconnectTGOnXPipes is the paper's TG replay on the ×pipes mesh
+# under the strict kernel; the $ keeps its Event-kernel twin out.
 smoke_pattern='EngineTick|EngineSkipIdle|EngineEvent|TransactionPath|PhasedMeasure|BurstyInjection|JournaledSweep|AnalyticEstimate|AdaptiveCurve|CrossInterconnectTGOnXPipes$'
 smoke_shard_pattern='ShardScaling/1shard'
 smoke_benchtime='300ms'
